@@ -61,7 +61,7 @@ async def main() -> None:
         stats = service.stats()
         print(
             f"  4 clients, {stats['pipeline_runs']} pipeline run(s), "
-            f"{stats['async']['deduplicated']} deduplicated\n"
+            f"{stats['executor']['deduplicated']} deduplicated\n"
         )
 
         print("== 2. Cache hits stay fast while cold queries run ==")
@@ -100,7 +100,7 @@ async def main() -> None:
         print(
             f"\nServed {final['async']['answered']} requests: "
             f"{final['async']['loop_cache_hits']} on-loop cache hits, "
-            f"{final['async']['dispatched']} dispatches, "
+            f"{final['executor']['submitted']} flights, "
             f"{final['pipeline_runs']} pipeline runs "
             f"(executor tier: {final['executor_kind']})"
         )

@@ -77,8 +77,9 @@ CATALOG: Dict[str, Tuple[str, ...]] = {
     "service.switch_executor": (KIND_CRASH, KIND_DELAY),
     # QKBflyService.close: marked closed, pools not yet shut down.
     "service.close": (KIND_DELAY,),
-    # AsyncQKBflyService._blocking_serve: dispatch thread about to
-    # submit to the shared executor.
+    # QKBflyService._begin on behalf of AsyncQKBflyService.serve: cold
+    # path, gates passed, flight about to be submitted to the shared
+    # executor (fires on the event loop).
     "async_service.dispatch": (KIND_CRASH, KIND_DELAY),
     # ShardServer request dispatch (server side, request decoded but
     # not yet executed): crash kills the serving connection without a

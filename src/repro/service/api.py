@@ -33,7 +33,6 @@ the wire format and curl-level examples.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, Dict, Optional
@@ -201,8 +200,8 @@ class PipelineFailure(ServiceError):
     """The KB pipeline raised while serving the request (HTTP 500).
 
     The original exception is chained as ``__cause__`` when the failure
-    happened in-process, so the deprecated ``query()``/``answer()``
-    shims can re-raise exactly what the legacy API raised.
+    happened in-process, so ``QKBflyService.build_kb`` can re-raise
+    exactly what :class:`~repro.core.qkbfly.QKBfly` would have raised.
     """
 
     status = QueryStatus.FAILED
@@ -218,16 +217,6 @@ _ERROR_CLASSES: Dict[str, type] = {
     SearchUnavailable.code: SearchUnavailable,
     PipelineFailure.code: PipelineFailure,
 }
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """One pre-v1 deprecation warning, attributed to the shim's caller."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} with a QueryRequest envelope "
-        "(see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def invalid_request(message: str) -> ServiceError:
@@ -277,15 +266,6 @@ def wrap_failure(
     return failure
 
 
-def reraise_original(error: ServiceError):
-    """Pre-v1 shim contract, shared by every deprecated entry point:
-    surface the original exception a :class:`PipelineFailure` wrapped
-    (``__cause__``), or the typed error itself when there is none."""
-    if isinstance(error, PipelineFailure) and error.__cause__ is not None:
-        raise error.__cause__
-    raise error
-
-
 def backend_seconds(result: "QueryResult") -> float:
     """The measured backend cost of one served request, in seconds.
 
@@ -306,8 +286,9 @@ def classify_timeout(
     wait_error: BaseException,
     work_error: Optional[BaseException],
 ) -> ServiceError:
-    """One classification for a TimeoutError caught while awaiting
-    shared work, used by every front end (sync, batch, asyncio).
+    """One classification for a TimeoutError caught while reading a
+    shared flight (``QKBflyService._finish``, on behalf of every front
+    end).
 
     On 3.11+ the futures/asyncio TimeoutError *is* the builtin
     TimeoutError, so a timeout raised inside the pipeline (e.g. a
@@ -340,7 +321,7 @@ class QueryRequest:
     up front (400) instead of silently answered with the wrong system.
     ``source``/``num_documents`` default to the deployment's
     :class:`~repro.service.service.ServiceConfig` when omitted, exactly
-    like the legacy ``query()`` arguments they replace.
+    like the ``build_kb`` arguments of the same names.
 
     Args:
         query: The entity-centric query string (non-empty).
@@ -1079,6 +1060,5 @@ __all__ = [
     "deadline_exceeded",
     "deadline_unmet",
     "invalid_request",
-    "reraise_original",
     "wrap_failure",
 ]

@@ -18,31 +18,30 @@ execution tier.
   try_load`): if the routed store lock is free, the SQLite read happens
   inline and the cache is filled; if a writer holds it, the request
   falls through to the slow path instead of stalling the loop;
-- **miss** — dispatched off the loop via ``loop.run_in_executor`` into
-  the sync service's :class:`~repro.service.executor.BatchExecutor`
-  (and through it the process tier, when selected), so the pipeline's
-  CPU-bound stages run on worker threads/processes while the loop keeps
-  answering hits.
+- **miss** — the request starts or joins a flight in the sync
+  service's :class:`~repro.service.executor.BatchExecutor` (and through
+  it the process tier, when selected) and awaits that flight's future,
+  so the pipeline's CPU-bound stages run on worker threads/processes
+  while the loop keeps answering hits. No thread is parked on the wait.
 
-Concurrent coroutines asking for the same cold query are collapsed by
-an **asyncio-native single-flight registry** (one in-flight task per
-key, joiners await it) layered over the executor's own thread-level
-dedup — so a burst of N identical cold queries costs one dispatch
-thread and one pipeline run, whether the copies arrive via this front
-end, the sync API, or both.
+The tier decision itself is not written here: :meth:`serve` drives the
+sync service's ladder (``_begin`` → await → ``_finish``) with the
+non-blocking store probe plugged in, so concurrent requests for one
+cold query collapse in the executor's single-flight table — the same
+table ``serve`` and ``serve_batch`` use — and a burst of N identical
+cold queries costs one pipeline run, whether the copies arrive via
+this front end, the sync API, or both.
 
 One instance belongs to one event loop. All mutable front-end state
-(the in-flight registry, the counters) is touched only from loop
-callbacks, which is what makes the front end lock-free.
+(the counters) is touched only from loop callbacks, which is what
+makes the front end lock-free.
 
-Since the v1 API, the primary entry points are the envelope methods
+The primary entry points are the envelope methods
 :meth:`AsyncQKBflyService.serve` / :meth:`AsyncQKBflyService.serve_batch`
 (:class:`~repro.service.api.QueryRequest` in,
 :class:`~repro.service.api.QueryResult` out, admission control and the
 typed error taxonomy enforced exactly like the sync facade); the HTTP
 gateway (:mod:`repro.service.gateway`) is a thin transport over them.
-The pre-v1 ``answer()`` / ``answer_batch()`` signatures remain as thin
-deprecated shims.
 """
 
 from __future__ import annotations
@@ -54,22 +53,16 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.qkbfly import QKBflyConfig, SessionState
 from repro.corpus.world import World
-from repro.faultinject.points import fault_point
+from repro.service.admission import CostCharge
 from repro.service.api import (
-    DeadlineUnmet,
     FactSearchRequest,
     FactSearchResult,
     IngestRequest,
     IngestResult,
-    PipelineFailure,
     QueryRequest,
     QueryResult,
     ServiceError,
     WatchRequest,
-    backend_seconds,
-    classify_timeout,
-    reraise_original,
-    warn_deprecated,
     wrap_failure,
 )
 from repro.service.cache import CacheKey
@@ -89,16 +82,11 @@ class AsyncQKBflyService:
             only when ``own_service`` is set (:meth:`from_world` sets
             it; wrap an externally managed service with the default).
         own_service: Whether :meth:`aclose` also closes ``service``.
-        dispatch_workers: Threads in the dispatch pool that bridges the
-            loop to the blocking executor API; one is occupied per
-            *distinct* in-flight cold query (the single-flight registry
-            guarantees that bound). Defaults to the service's
-            ``max_workers``; an explicit value is an operator pin.
-            When defaulted, the pool *follows* the sync service's
-            autoscaled ``pool_workers`` at runtime, so a widened
-            worker pool is not bottlenecked behind a fixed-width
-            dispatch bridge (and a narrowed one stops being hidden by
-            excess dispatch threads).
+        dispatch_workers: Threads in the pool that runs the blocking
+            calls (``ingest``, ``search_*``, ``watch``, long-polls and
+            autoscale swaps) off the loop. Queries never occupy one:
+            a cold query awaits its executor flight directly.
+            Defaults to the service's ``max_workers``.
     """
 
     def __init__(
@@ -116,15 +104,10 @@ class AsyncQKBflyService:
         )
         if workers <= 0:
             raise ValueError("dispatch_workers must be positive")
-        # An explicit dispatch_workers pins the pool width; otherwise
-        # _sync_dispatch_pool follows the sync service's autoscaled
-        # pool_workers (loop-confined, like every front-end mutation).
-        self._dispatch_pinned = dispatch_workers is not None
         self._dispatch_workers = workers
         self._dispatch_pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="qkbfly-async"
         )
-        self._in_flight: Dict[CacheKey, "asyncio.Task[QueryResult]"] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
         # Front-end counters (loop-confined, hence unlocked).
@@ -132,9 +115,6 @@ class AsyncQKBflyService:
         self.loop_cache_hits = 0
         self.loop_store_hits = 0
         self.store_busy_fallthroughs = 0
-        self.deduplicated = 0
-        self.dispatched = 0
-        self.dispatch_resizes = 0
 
     @classmethod
     def from_world(
@@ -212,147 +192,65 @@ class AsyncQKBflyService:
         The returned :class:`QueryResult` carries a private KB copy, so
         callers may mutate it freely.
         """
-        loop = self._check_loop()
-        sync = self.service
         started = time.perf_counter()
-        sync._validate_request(request)
-        charge = None
-        if sync.admission is not None:
-            charge = sync.admission.admit(
-                request.client_id, sync._cost_shape(request)
-            )
+        self._check_loop()
+        charge, key = self.service._admit(request)
+        return await self._serve_admitted(request, key, charge, started)
+
+    async def _serve_admitted(
+        self,
+        request: QueryRequest,
+        key: CacheKey,
+        charge: Optional[CostCharge],
+        started: float,
+    ) -> QueryResult:
+        """Drive the sync service's ladder for one admitted request:
+        ``_begin`` with the loop-side store probe, await the flight
+        (if any) up to the deadline counted from ``started``, then
+        ``_finish`` — the same two calls the sync drivers make."""
+        sync = self.service
         self.answered += 1
         try:
-            result = await self._serve_admitted(request, started, loop)
+            outcome = sync._begin(
+                request, key, started, loop_probe=self._try_store_on_loop
+            )
+            if isinstance(outcome, QueryResult):
+                if outcome.cache_hit:
+                    self.loop_cache_hits += 1
+                result = outcome
+            else:
+                try:
+                    # A cancelled consumer cannot cancel the shared
+                    # flight: executor futures refuse cancel().
+                    await asyncio.wait_for(
+                        asyncio.wrap_future(outcome),
+                        sync._remaining(request, started),
+                    )
+                except Exception:
+                    # Expired or failed — _finish reads the flight
+                    # itself and types either outcome.
+                    pass
+                result = sync._finish(
+                    request, key, started, outcome, on_loop=True
+                )
+                if sync._selector is not None and not self._closed:
+                    # Requests are recorded on the loop; the pool swap
+                    # those observations may call for (a process
+                    # bootstrap takes hundreds of milliseconds) is
+                    # applied off it, fire-and-forget.
+                    self._dispatch_pool.submit(sync.autoscale_tick)
         except BaseException:
             # Measured cost unknown (shed, deadline, pipeline failure):
             # the estimated reservation stays charged — identical to
             # the sync facade's settle discipline.
-            if charge is not None:
-                sync.admission.settle(charge)
+            sync._settle(charge)
             raise
-        if charge is not None:
-            sync.admission.settle(charge, actual=backend_seconds(result))
+        sync._settle(charge, result)
         if sync.history is not None:
             # The async tier records on the shared sync recorder, so
             # one attach_history() covers every front end (the HTTP
             # gateway's serves ride through here as well).
             sync.history.record_serve(result, front_end="async")
-        return result
-
-    async def _serve_admitted(
-        self,
-        request: QueryRequest,
-        started: float,
-        loop: asyncio.AbstractEventLoop,
-    ) -> QueryResult:
-        """:meth:`serve` past the admission gate: loop-side fast paths,
-        then the single-flight slow path, deadline counted from
-        ``started`` (request entry)."""
-        sync = self.service
-        key = sync.request_key(
-            request.query, request.source, request.num_documents
-        )
-
-        # Fast path 1: in-memory cache, directly on the loop (the
-        # shared helper records for the autoscaler without ever
-        # swapping pools inline). Raw tier failures become typed
-        # envelope errors here too — the contract is taxonomy-only.
-        try:
-            cached = sync.cache.get(key)
-            if cached is not None:
-                self.loop_cache_hits += 1
-                return sync.hit_result(request, key, cached, started)
-
-            # Fast path 2: persistent store, only if its lock is free
-            # right now — a writer mid-save must not stall the loop.
-            result = self._try_store_on_loop(request, key, started)
-        except ServiceError:
-            raise
-        except Exception as error:
-            raise wrap_failure(request, error, "serving") from error
-        if result is not None:
-            return result
-
-        # Slow path: join or start the single flight for this key.
-        task = self._in_flight.get(key)
-        if task is None:
-            # Shed *before* a flight exists; joiners below are exempt
-            # (they add no executor load). This front end's own
-            # registry is passed as the depth: flights wait in the
-            # dispatch pool's queue before they ever reach the
-            # executor, so executor.pending alone would undercount
-            # async load. A store-servable key gets one more
-            # non-blocking probe before being shed — only if a writer
-            # holds the shard lock at both probes can a store hit be
-            # rejected (best-effort, the loop never blocks).
-            try:
-                sync._check_capacity(
-                    key, front_depth=len(self._in_flight)
-                )
-                sync._check_deadline(request, key, started)
-            except ServiceError as rejection:
-                try:
-                    result = self._try_store_on_loop(request, key, started)
-                except Exception as error:
-                    raise wrap_failure(request, error, "serving") from error
-                if result is not None:
-                    return result
-                if sync.admission is not None:
-                    if isinstance(rejection, DeadlineUnmet):
-                        sync.admission.count_deadline_rejected()
-                    else:
-                        sync.admission.count_overloaded()
-                raise
-            self._sync_dispatch_pool()
-            task = loop.create_task(self._dispatch(request, key))
-            task.add_done_callback(self._make_reaper(key, task))
-            self._in_flight[key] = task
-            self.dispatched += 1
-        else:
-            self.deduplicated += 1
-            # Joins feed the executor's deployment-wide dedup counter
-            # too, so stats()["executor"]["deduplicated"] reflects
-            # every front end (the loop-side counter above remains the
-            # async-only view).
-            sync._executor.count_dedup()
-        # shield(): a cancelled consumer must not cancel the shared
-        # flight out from under its other joiners.
-        waiter = asyncio.shield(task)
-        try:
-            if request.timeout is not None:
-                # Absolute deadline from request entry, mirroring the
-                # sync facade: admission and the loop-side fast paths
-                # (including a store read) already consumed budget.
-                remaining = max(
-                    0.0,
-                    request.timeout - (time.perf_counter() - started),
-                )
-                shared = await asyncio.wait_for(waiter, remaining)
-            else:
-                shared = await waiter
-        except asyncio.TimeoutError as error:
-            # Hand over the flight's own exception (if it finished by
-            # raising): the classification must chain the pipeline's
-            # real error, never the wait's TimeoutError.
-            raise classify_timeout(
-                request,
-                error,
-                task.exception()
-                if task.done() and not task.cancelled()
-                else None,
-            )
-        except ServiceError:
-            raise
-        except Exception as error:
-            raise wrap_failure(request, error) from error
-        result = QKBflyService._result_copy(
-            shared,
-            seconds=time.perf_counter() - started,
-            query=request.query,
-            client_id=request.client_id,
-        )
-        sync._record_request(key, result.seconds, allow_switch=False)
         return result
 
     async def serve_batch(
@@ -361,48 +259,37 @@ class AsyncQKBflyService:
         """Serve many envelopes concurrently; results in input order.
 
         Duplicates within the batch (and against any other in-flight
-        request) collapse onto one pipeline run via the single-flight
-        registry; every result slot still gets its own KB copy. Like
-        the sync :meth:`QKBflyService.serve_batch`, nothing raises:
-        each slot independently carries its status/error envelope.
+        request) collapse onto one pipeline run via the executor's
+        single-flight table; every result slot still gets its own KB
+        copy. Like the sync :meth:`QKBflyService.serve_batch`, nothing
+        raises: each slot independently carries its status/error
+        envelope, and every slot's deadline counts from batch entry.
         """
+        started = time.perf_counter()
+        self._check_loop()
+        sync = self.service
 
-        async def serve_one(request: QueryRequest) -> QueryResult:
-            slot_started = time.perf_counter()
+        async def serve_slot(request: QueryRequest) -> QueryResult:
+            key = None  # stays None for pre-admission failures
             try:
-                return await self.serve(request)
-            except ServiceError as error:
-                # Mirror the sync batch envelopes: failures past the
-                # admission gate (shed, deadline, pipeline) carry the
-                # derived request key for correlation; validation and
-                # rate-limit rejections happened before a key existed.
-                key = None
-                if error.code in (
-                    "overloaded",
-                    "deadline_unmet",
-                    "timeout",
-                    "pipeline_failure",
-                ):
-                    key = self.service.request_key(
-                        request.query, request.source, request.num_documents
-                    )
-                return self.service._failure(
-                    request,
-                    error,
-                    key,
-                    seconds=time.perf_counter() - slot_started,
+                charge, key = sync._admit(request)
+                return await self._serve_admitted(
+                    request, key, charge, started
                 )
+            except ServiceError as error:
+                return sync._failure(request, error, key, started)
             except Exception as error:
-                # Raw infrastructure failures (e.g. a store error on
-                # the loop fast path) poison only their own slot.
-                return self.service._failure(
+                # Raw infrastructure failures poison only their own
+                # slot, never the batch.
+                return sync._failure(
                     request,
                     wrap_failure(request, error, "serving"),
-                    seconds=time.perf_counter() - slot_started,
+                    key,
+                    started,
                 )
 
         return list(
-            await asyncio.gather(*(serve_one(r) for r in requests))
+            await asyncio.gather(*(serve_slot(r) for r in requests))
         )
 
     # ---- fact search -------------------------------------------------------
@@ -476,59 +363,6 @@ class AsyncQKBflyService:
             ),
         )
 
-    # ---- legacy entry points (deprecated shims) ----------------------------
-
-    async def answer(
-        self,
-        query: str,
-        source: Optional[str] = None,
-        num_documents: Optional[int] = None,
-    ) -> QueryResult:
-        """Pre-v1 entry point; deprecated in favor of :meth:`serve`.
-
-        A thin shim preserving the pre-v1 exception contract: pipeline
-        exceptions propagate raw, not wrapped in
-        :class:`~repro.service.api.PipelineFailure`.
-        """
-        warn_deprecated(
-            "AsyncQKBflyService.answer()", "AsyncQKBflyService.serve()"
-        )
-        request = QueryRequest(
-            query=query, source=source, num_documents=num_documents
-        )
-        try:
-            return await self.serve(request)
-        except PipelineFailure as failure:
-            reraise_original(failure)
-
-    async def answer_batch(
-        self,
-        queries: Sequence[str],
-        source: Optional[str] = None,
-        num_documents: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """Pre-v1 batch entry point; deprecated: :meth:`serve_batch`.
-
-        A thin shim over the envelope path, preserving the pre-v1
-        contract: the first failed slot raises its original exception
-        instead of returning an error envelope.
-        """
-        warn_deprecated(
-            "AsyncQKBflyService.answer_batch()",
-            "AsyncQKBflyService.serve_batch()",
-        )
-        requests = [
-            QueryRequest(
-                query=query, source=source, num_documents=num_documents
-            )
-            for query in queries
-        ]
-        results = await self.serve_batch(requests)
-        for result in results:
-            if result.error is not None:
-                reraise_original(result.error)
-        return results
-
     # ---- internals ---------------------------------------------------------
 
     def _check_loop(self) -> asyncio.AbstractEventLoop:
@@ -581,78 +415,6 @@ class AsyncQKBflyService:
             store_seconds=time.perf_counter() - tier_started,
         )
 
-    def _sync_dispatch_pool(self) -> None:
-        """Follow the sync service's autoscaled pool width.
-
-        Called on the loop just before a new flight is dispatched, so
-        the bridge resizes at most once per cold query and only from
-        loop callbacks (no lock needed). A pinned pool (explicit
-        ``dispatch_workers``) never moves. The old pool is shut down
-        without waiting: its queued flights finish on its existing
-        threads, while new flights land on the new pool.
-        """
-        if self._dispatch_pinned:
-            return
-        target = self.service.pool_workers
-        if target <= 0 or target == self._dispatch_workers:
-            return
-        old = self._dispatch_pool
-        self._dispatch_pool = ThreadPoolExecutor(
-            max_workers=target, thread_name_prefix="qkbfly-async"
-        )
-        self._dispatch_workers = target
-        self.dispatch_resizes += 1
-        old.shutdown(wait=False)
-
-    async def _dispatch(
-        self, request: QueryRequest, key: CacheKey
-    ) -> QueryResult:
-        """Run the blocking miss path off the loop; owns one flight."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._dispatch_pool, self._blocking_serve, request, key
-        )
-
-    def _blocking_serve(
-        self, request: QueryRequest, key: CacheKey
-    ) -> QueryResult:
-        """Dispatch-pool thread: through the sync executor stack.
-
-        Submitting to the service's own :class:`BatchExecutor` (rather
-        than calling the pipeline directly) preserves single-flight
-        dedup *across front ends*: a sync caller and an async caller
-        racing on one cold key still share one pipeline run. The miss
-        was counted by the loop-side cache lookup, hence the
-        pre-counted flag. Requests are recorded by their consumers on
-        the loop; this thread only *applies* any autoscale decision
-        those observations produced, because it is already off the
-        loop and may build a process pool without stalling hits.
-        """
-        fault_point("async_service.dispatch")
-        result = self.service._executor.submit(
-            key, (request, key, True)
-        ).result()
-        self.service.autoscale_tick()
-        return result
-
-    def _make_reaper(self, key: CacheKey, task: "asyncio.Task") -> Any:
-        """Done-callback that unpublishes a finished flight.
-
-        Also retrieves a failed task's exception: every live consumer
-        re-raises it from ``await shield(task)``, so the only
-        unretrieved case is "all consumers cancelled", where the
-        interpreter's never-retrieved warning would be noise in a
-        long-running server.
-        """
-
-        def _reap(done: "asyncio.Task") -> None:
-            if self._in_flight.get(key) is task:
-                del self._in_flight[key]
-            if not done.cancelled():
-                done.exception()
-
-        return _reap
-
     # ---- lifecycle / monitoring --------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
@@ -673,27 +435,20 @@ class AsyncQKBflyService:
             "loop_cache_hits": self.loop_cache_hits,
             "loop_store_hits": self.loop_store_hits,
             "store_busy_fallthroughs": self.store_busy_fallthroughs,
-            "deduplicated": self.deduplicated,
-            "dispatched": self.dispatched,
             "dispatch_workers": self._dispatch_workers,
-            "dispatch_resizes": self.dispatch_resizes,
-            "in_flight": len(self._in_flight),
         }
 
     async def aclose(self) -> None:
-        """Drain in-flight work and shut the front end down.
+        """Shut the front end down.
 
-        Pending flights are awaited (their consumers still get
-        results), then the dispatch pool — and, when owned, the sync
-        service with all its pools and store handles — is shut down off
-        the loop.
+        The dispatch pool — and, when owned, the sync service with all
+        its pools and store handles — is shut down off the loop.
+        Closing an owned service drains its executor, so consumers
+        still awaiting a flight get their results.
         """
         if self._closed:
             return
         self._closed = True
-        pending = list(self._in_flight.values())
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self._shutdown_blocking)
 

@@ -139,8 +139,8 @@ class BatchExecutor:
 
     def count_dedup(self) -> None:
         """Count one deduplicated request absorbed outside ``submit``
-        (front ends with their own registries report joins through
-        this, keeping one consistent dedup counter per deployment)."""
+        (:meth:`run_batch` collapses a batch's own duplicates before
+        submitting, and reports them here)."""
         with self._lock:
             self.deduplicated += 1
 

@@ -53,6 +53,7 @@ implementation.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 import time
@@ -381,110 +382,60 @@ class HttpGateway:
         headers: Dict[str, str],
         body: bytes,
     ) -> Tuple[int, Any, Dict[str, str]]:
-        """Dispatch one parsed request; returns (status, payload,
-        headers) — payload is a dict, or pre-encoded bytes for query
-        envelopes."""
-        if path in ("/v1/facts", "/v1/entities"):
-            if method != "GET":
-                return (
-                    405,
-                    _error_payload(
-                        "method_not_allowed", "use GET", http_status=405
-                    ),
-                    {"Allow": "GET"},
-                )
-            kind = "facts" if path == "/v1/facts" else "entities"
-            return await self._handle_search(kind, query_string, headers)
-        if path == "/v1/query":
-            if method != "POST":
-                return (
-                    405,
-                    _error_payload(
-                        "method_not_allowed", "use POST", http_status=405
-                    ),
-                    {"Allow": "POST"},
-                )
-            return await self._handle_query(headers, body)
-        if path == "/v1/ingest":
-            if method != "POST":
-                return (
-                    405,
-                    _error_payload(
-                        "method_not_allowed", "use POST", http_status=405
-                    ),
-                    {"Allow": "POST"},
-                )
-            return await self._handle_ingest(headers, body)
-        if path == "/v1/watch":
-            if method != "POST":
-                return (
-                    405,
-                    _error_payload(
-                        "method_not_allowed", "use POST", http_status=405
-                    ),
-                    {"Allow": "POST"},
-                )
-            return await self._handle_watch(headers, body)
-        if path == "/v1/deltas":
-            if method != "GET":
-                return (
-                    405,
-                    _error_payload(
-                        "method_not_allowed", "use GET", http_status=405
-                    ),
-                    {"Allow": "GET"},
-                )
-            return await self._handle_deltas(query_string)
-        if path == "/v1/healthz":
-            if method != "GET":
-                return (
-                    405,
-                    _error_payload(
-                        "method_not_allowed", "use GET", http_status=405
-                    ),
-                    {"Allow": "GET"},
-                )
+        """Dispatch one parsed request through :attr:`ROUTES`; returns
+        (status, payload, headers) — payload is a dict, or pre-encoded
+        bytes for query envelopes."""
+        route = self.ROUTES.get(path)
+        if route is None:
             return (
-                200,
-                {
-                    "status": "ok",
-                    "api_version": API_VERSION,
-                    "corpus_version": self._service.corpus_version,
-                },
+                404,
+                _error_payload(
+                    "not_found", f"no route for {path!r}", http_status=404
+                ),
                 {},
             )
-        if path == "/v1/stats":
-            if method != "GET":
-                return (
-                    405,
-                    _error_payload(
-                        "method_not_allowed", "use GET", http_status=405
-                    ),
-                    {"Allow": "GET"},
-                )
-            # The sync tiers' stats read SQLite row counts under the
-            # store lock — blocking work, run off the loop exactly
-            # like the miss path (a writer mid-save must not stall hit
-            # traffic). The front end's loop-confined counters are
-            # snapshotted here on the loop, preserving its lock-free
-            # contract.
-            loop = asyncio.get_running_loop()
-            stats = await loop.run_in_executor(
-                None, self._service.service.stats
+        allowed, handler = route
+        if method != allowed:
+            return (
+                405,
+                _error_payload(
+                    "method_not_allowed", f"use {allowed}", http_status=405
+                ),
+                {"Allow": allowed},
             )
-            stats["async"] = self._service.front_end_stats()
-            stats["gateway"] = self.stats()
-            return 200, stats, {}
+        return await handler(self, query_string, headers, body)
+
+    async def _handle_healthz(
+        self, query_string: str, headers: Dict[str, str], body: bytes
+    ) -> Tuple[int, Any, Dict[str, str]]:
+        """GET /v1/healthz: liveness plus the served corpus version."""
         return (
-            404,
-            _error_payload(
-                "not_found", f"no route for {path!r}", http_status=404
-            ),
+            200,
+            {
+                "status": "ok",
+                "api_version": API_VERSION,
+                "corpus_version": self._service.corpus_version,
+            },
             {},
         )
 
+    async def _handle_stats(
+        self, query_string: str, headers: Dict[str, str], body: bytes
+    ) -> Tuple[int, Any, Dict[str, str]]:
+        """GET /v1/stats: every tier's counters in one document."""
+        # The sync tiers' stats read SQLite row counts under the store
+        # lock — blocking work, run off the loop (a writer mid-save must
+        # not stall hit traffic). The front end's loop-confined counters
+        # are snapshotted here on the loop, preserving its lock-free
+        # contract.
+        loop = asyncio.get_running_loop()
+        stats = await loop.run_in_executor(None, self._service.service.stats)
+        stats["async"] = self._service.front_end_stats()
+        stats["gateway"] = self.stats()
+        return 200, stats, {}
+
     async def _handle_query(
-        self, headers: Dict[str, str], body: bytes
+        self, query_string: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Any, Dict[str, str]]:
         """POST /v1/query: envelope in, envelope out, taxonomy mapped."""
         try:
@@ -535,7 +486,7 @@ class HttpGateway:
         return 200, body, {}
 
     async def _handle_ingest(
-        self, headers: Dict[str, str], body: bytes
+        self, query_string: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Any, Dict[str, str]]:
         """POST /v1/ingest: document envelope in, acknowledgment out."""
         try:
@@ -581,7 +532,7 @@ class HttpGateway:
         return 200, body, {}
 
     async def _handle_watch(
-        self, headers: Dict[str, str], body: bytes
+        self, query_string: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Any, Dict[str, str]]:
         """POST /v1/watch: subscription registration in, id out."""
         try:
@@ -621,7 +572,7 @@ class HttpGateway:
         return 200, payload, {}
 
     async def _handle_deltas(
-        self, query_string: str
+        self, query_string: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Any, Dict[str, str]]:
         """GET /v1/deltas: long-poll one subscription's pending deltas."""
         try:
@@ -650,7 +601,11 @@ class HttpGateway:
         return 200, payload, {}
 
     async def _handle_search(
-        self, kind: str, query_string: str, headers: Dict[str, str]
+        self,
+        query_string: str,
+        headers: Dict[str, str],
+        body: bytes,
+        kind: str,
     ) -> Tuple[int, Any, Dict[str, str]]:
         """GET /v1/facts | /v1/entities: query string in, page out."""
         try:
@@ -683,6 +638,22 @@ class HttpGateway:
         loop = asyncio.get_running_loop()
         body = await loop.run_in_executor(None, _encode_payload, result)
         return 200, body, {}
+
+    #: path -> (its one allowed method, handler): the whole v1 surface.
+    #: Every handler takes (self, query_string, headers, body).
+    ROUTES = {
+        "/v1/query": ("POST", _handle_query),
+        "/v1/ingest": ("POST", _handle_ingest),
+        "/v1/watch": ("POST", _handle_watch),
+        "/v1/deltas": ("GET", _handle_deltas),
+        "/v1/facts": ("GET", functools.partial(_handle_search, kind="facts")),
+        "/v1/entities": (
+            "GET",
+            functools.partial(_handle_search, kind="entities"),
+        ),
+        "/v1/healthz": ("GET", _handle_healthz),
+        "/v1/stats": ("GET", _handle_stats),
+    }
 
     # ---- response writing --------------------------------------------------
 

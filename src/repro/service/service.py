@@ -33,9 +33,10 @@ are the envelope methods :meth:`QKBflyService.serve` /
 :class:`~repro.service.api.QueryRequest` in, one
 :class:`~repro.service.api.QueryResult` envelope out (status, serving
 tier, timing breakdown, typed errors), with per-client admission
-control (:mod:`repro.service.admission`) enforced on the way in. The
-pre-v1 ``query()`` / ``batch_query()`` signatures remain as thin
-deprecated shims over the envelope path.
+control (:mod:`repro.service.admission`) enforced on the way in. Both,
+and the asyncio front end, drive one ladder — :meth:`QKBflyService.
+_begin` decides which tier answers, the driver waits on a flight its
+own way, :meth:`QKBflyService._finish` turns it into the envelope.
 """
 
 from __future__ import annotations
@@ -43,9 +44,19 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.qkbfly import QKBfly, QKBflyConfig, SessionState
 from repro.corpus.retrieval import SearchEngine
@@ -78,8 +89,6 @@ from repro.service.api import (
     backend_seconds,
     classify_timeout,
     invalid_request,
-    reraise_original,
-    warn_deprecated,
     wrap_failure,
 )
 from repro.service.autoscale import AutoscalePolicy, ExecutorSelector
@@ -585,7 +594,12 @@ class QKBflyService:
         request = QueryRequest(
             query=query, source=source, num_documents=num_documents
         )
-        return self._serve_unwrapped(request).kb
+        try:
+            return self.serve(request).kb
+        except PipelineFailure as failure:
+            if failure.__cause__ is not None:
+                raise failure.__cause__
+            raise
 
     # ---- serving (v1 envelope) ---------------------------------------------
 
@@ -631,81 +645,20 @@ class QKBflyService:
         keeps running and will still fill the cache).
         """
         started = time.perf_counter()
-        self._validate_request(request)
-        charge: Optional[CostCharge] = None
-        if self.admission is not None:
-            charge = self.admission.admit(
-                request.client_id, self._cost_shape(request)
-            )
+        charge, key = self._admit(request)
         try:
-            result = self._serve_admitted(request, started)
+            result = self._finish(
+                request, key, started, self._begin(request, key, started)
+            )
         except BaseException:
             # The measured cost is unknown (a shed, a timeout with the
             # work still running, a pipeline failure): the estimated
             # reservation stays charged.
-            if charge is not None:
-                self.admission.settle(charge)
+            self._settle(charge)
             raise
-        if charge is not None:
-            self.admission.settle(charge, actual=backend_seconds(result))
+        self._settle(charge, result)
         if self.history is not None:
             self.history.record_serve(result, front_end="sync")
-        return result
-
-    def _serve_admitted(
-        self, request: QueryRequest, started: float
-    ) -> QueryResult:
-        """:meth:`serve` past the admission gate: cache -> store ->
-        pipeline, deadline counted from ``started`` (request entry)."""
-        key = self._key(request.query, request.source, request.num_documents)
-        try:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return self.hit_result(request, key, cached, started)
-            stored = self._admit_cold(request, key, started)
-        except ServiceError:
-            raise
-        except Exception as error:
-            # The contract is the typed taxonomy, fast paths included:
-            # a raw store failure in the overload rescue (or a cache
-            # error) must not escape untyped.
-            raise wrap_failure(request, error, "serving") from error
-        if stored is not None:
-            return stored
-        # The miss was already counted by the lookup above; the
-        # executor's double-check must not count it again.
-        future = self._executor.submit(key, (request, key, True))
-        try:
-            # The deadline is absolute from request entry: time already
-            # spent in admission and the fast paths (e.g. a saturated
-            # store rescue waiting on the store lock) consumes budget.
-            remaining = None
-            if request.timeout is not None:
-                remaining = max(
-                    0.0,
-                    request.timeout - (time.perf_counter() - started),
-                )
-            shared = future.result(timeout=remaining)
-        except FuturesTimeoutError as error:
-            # Only a future that finished *by raising* pins the error
-            # on the pipeline; done-with-a-result means the flight
-            # landed just after the wait expired (still a deadline).
-            raise classify_timeout(
-                request,
-                error,
-                future.exception() if future.done() else None,
-            )
-        except ServiceError:
-            raise
-        except Exception as error:
-            raise wrap_failure(request, error) from error
-        result = self._result_copy(
-            shared,
-            seconds=time.perf_counter() - started,
-            query=request.query,
-            client_id=request.client_id,
-        )
-        self._record_request(key, result.seconds)
         return result
 
     def serve_batch(
@@ -723,216 +676,200 @@ class QKBflyService:
         timeouts, and pipeline failures each become an *error envelope
         in their own slot* (``status`` set, ``kb=None``), so one
         over-budget client or one poisoned query cannot void the rest
-        of the batch.
+        of the batch. Every slot's deadline counts from batch entry.
         """
-        batch_started = time.perf_counter()
-        slots: List[Optional[QueryResult]] = []
-        keys: List[Optional[CacheKey]] = []
-        charges: List[Optional[CostCharge]] = []
-        futures_by_key: Dict[CacheKey, Any] = {}
+        started = time.perf_counter()
+        slots = []
         for request in requests:
-            key = None  # derived below; stays None for pre-key failures
-            charge = None
+            charge = key = None  # stay None for pre-admission failures
             try:
-                self._validate_request(request)
-                if self.admission is not None:
-                    charge = self.admission.admit(
-                        request.client_id, self._cost_shape(request)
-                    )
-                key = self._key(
-                    request.query, request.source, request.num_documents
-                )
-                if key not in futures_by_key:
-                    # Shed only work that would start a new flight: a
-                    # cached key is answered by the executor's cache
-                    # double-check without queueing pipeline work, and
-                    # a store-servable key costs one read — neither is
-                    # ever rejected under overload (same contract as
-                    # serve()).
-                    if key not in self.cache:
-                        stored = self._admit_cold(
-                            request, key, time.perf_counter()
-                        )
-                        if stored is not None:
-                            keys.append(None)
-                            slots.append(stored)
-                            continue
-                    futures_by_key[key] = self._executor.submit(
-                        key, (request, key, False)
-                    )
-                else:
-                    self._executor.count_dedup()
+                charge, key = self._admit(request)
+                outcome = self._begin(request, key, started)
             except ServiceError as error:
-                keys.append(None)
-                slots.append(
-                    self._failure(
-                        request,
-                        error,
-                        key,
-                        seconds=time.perf_counter() - batch_started,
-                    )
-                )
-                continue
+                outcome = self._failure(request, error, key, started)
             except Exception as error:
-                # A raw infrastructure failure (e.g. an SQLite error in
-                # the overload rescue probe) must poison only its own
-                # slot, never the batch — the documented contract.
-                keys.append(None)
-                slots.append(
-                    self._failure(
-                        request,
-                        wrap_failure(request, error, "serving"),
-                        key,
-                        seconds=time.perf_counter() - batch_started,
-                    )
+                # A raw infrastructure failure must poison only its
+                # own slot, never the batch — the documented contract.
+                outcome = self._failure(
+                    request,
+                    wrap_failure(request, error, "serving"),
+                    key,
+                    started,
                 )
-                continue
-            finally:
-                # Exactly one charge slot per request, whatever path
-                # the admission phase took (reserved, rejected, or
-                # cost budgeting off) — the settle loop below zips it
-                # against the results.
-                charges.append(charge)
-            keys.append(key)
-            slots.append(None)
+            slots.append((request, key, charge, outcome))
         results: List[QueryResult] = []
-        for request, key, slot in zip(requests, keys, slots):
-            if slot is not None:
-                results.append(slot)
-                continue
+        for request, key, charge, outcome in slots:
             try:
-                # Deadlines are absolute from batch entry: slots are
-                # collected in order, so a slot's wait budget is what
-                # remains of *its own* timeout, not a fresh clock that
-                # silently extends it by its predecessors' waits.
-                remaining = None
-                if request.timeout is not None:
-                    remaining = max(
-                        0.0,
-                        request.timeout
-                        - (time.perf_counter() - batch_started),
-                    )
-                shared = futures_by_key[key].result(timeout=remaining)
-            except FuturesTimeoutError as error:
-                shared_future = futures_by_key[key]
-                results.append(
-                    self._failure(
-                        request,
-                        classify_timeout(
-                            request,
-                            error,
-                            shared_future.exception()
-                            if shared_future.done()
-                            else None,
-                        ),
-                        key,
-                        seconds=time.perf_counter() - batch_started,
-                    )
-                )
-                continue
+                result = self._finish(request, key, started, outcome)
             except ServiceError as error:
-                results.append(
-                    self._failure(
-                        request,
-                        error,
-                        key,
-                        seconds=time.perf_counter() - batch_started,
-                    )
-                )
-                continue
-            except Exception as error:
-                results.append(
-                    self._failure(
-                        request,
-                        wrap_failure(request, error),
-                        key,
-                        seconds=time.perf_counter() - batch_started,
-                    )
-                )
-                continue
-            result = self._result_copy(
-                shared, query=request.query, client_id=request.client_id
-            )
-            self._record_request(key, result.seconds)
+                result = self._failure(request, error, key, started)
+            self._settle(charge, result)
+            if self.history is not None and result.status is QueryStatus.OK:
+                self.history.record_serve(result, front_end="sync_batch")
             results.append(result)
+        return results
+
+    # ---- the serve ladder: begin -> (driver's wait) -> finish --------------
+
+    def _admit(
+        self, request: QueryRequest
+    ) -> Tuple[Optional[CostCharge], CacheKey]:
+        """Validate and admit ``request`` (rate and cost budgets), then
+        derive its key; the charge is None with cost budgeting off.
+        Raises before any reservation exists, so a caller that gets a
+        charge back owes exactly one :meth:`_settle`."""
+        self._validate_request(request)
+        charge = None
         if self.admission is not None:
-            # Reconcile every reservation against the measured cost:
-            # successful slots refund down to their observed
-            # store+pipeline seconds; failed slots keep the estimate
-            # charged (their true cost is unknown or still accruing).
-            for result, charge in zip(results, charges):
-                if charge is not None:
-                    self.admission.settle(
-                        charge,
-                        actual=(
-                            backend_seconds(result)
-                            if result.status is QueryStatus.OK
-                            else None
-                        ),
-                    )
-        if self.history is not None:
-            for result in results:
-                if result.status is QueryStatus.OK:
-                    self.history.record_serve(result, front_end="sync_batch")
-        return results
-
-    # ---- legacy entry points (deprecated shims) ----------------------------
-
-    def query(
-        self,
-        query: str,
-        source: Optional[str] = None,
-        num_documents: Optional[int] = None,
-    ) -> QueryResult:
-        """Pre-v1 entry point; deprecated in favor of :meth:`serve`.
-
-        A thin shim: builds the v1 :class:`QueryRequest` and serves it,
-        preserving the pre-v1 exception contract (pipeline exceptions
-        propagate raw, not wrapped in
-        :class:`~repro.service.api.PipelineFailure`).
-        """
-        warn_deprecated("QKBflyService.query()", "QKBflyService.serve()")
-        return self._serve_unwrapped(
-            QueryRequest(
-                query=query, source=source, num_documents=num_documents
+            charge = self.admission.admit(
+                request.client_id, self._cost_shape(request)
             )
+        return charge, self._key(
+            request.query, request.source, request.num_documents
         )
 
-    def batch_query(
+    def _settle(
         self,
-        queries: Sequence[str],
-        source: Optional[str] = None,
-        num_documents: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """Pre-v1 batch entry point; deprecated: :meth:`serve_batch`.
-
-        A thin shim over the envelope path, preserving the pre-v1
-        contract: the first failed slot raises its original exception
-        instead of returning an error envelope.
-        """
-        warn_deprecated(
-            "QKBflyService.batch_query()", "QKBflyService.serve_batch()"
-        )
-        requests = [
-            QueryRequest(
-                query=query, source=source, num_documents=num_documents
+        charge: Optional[CostCharge],
+        result: Optional[QueryResult] = None,
+    ) -> None:
+        """Reconcile a reservation against the measured cost: an OK
+        result refunds down to its observed store+pipeline seconds;
+        anything else (an error envelope, or None for a raised error)
+        keeps the estimate charged — the true cost is unknown or still
+        accruing."""
+        if charge is not None:
+            measured = result is not None and result.status is QueryStatus.OK
+            self.admission.settle(
+                charge, actual=backend_seconds(result) if measured else None
             )
-            for query in queries
-        ]
-        results = self.serve_batch(requests)
-        for result in results:
-            if result.error is not None:
-                reraise_original(result.error)
-        return results
 
-    def _serve_unwrapped(self, request: QueryRequest) -> QueryResult:
-        """:meth:`serve`, re-raising a wrapped pipeline failure's
-        original exception — the contract of the pre-v1 API (and of
-        :class:`QKBfly` itself, which ``build_kb`` stands in for)."""
+    def _begin(
+        self,
+        request: QueryRequest,
+        key: CacheKey,
+        started: float,
+        loop_probe: Optional[
+            Callable[[QueryRequest, CacheKey, float], Optional[QueryResult]]
+        ] = None,
+    ) -> Union[QueryResult, Future]:
+        """Decide which tier answers an admitted request — the one
+        ladder every front end drives.
+
+        Returns a finished envelope (cache hit, or a store hit found
+        by a probe) or the executor flight the request started or
+        joined; the driver waits on a flight its own way and hands it
+        to :meth:`_finish`. ``loop_probe`` is an event-loop front
+        end's non-blocking store lookup: such a caller reads the store
+        *before* the gates (a blocking caller leaves that read to the
+        worker) and may never block, so the probe also replaces the
+        blocking rescue read below.
+
+        When the queue is saturated (or the request's deadline cannot
+        survive the measured queue wait), the store gets one last word
+        before the request is shed: a store-servable key costs a
+        single read, not a pipeline run, so it is answered directly —
+        hits are never shed, on any front end (best-effort through a
+        loop probe: a writer holding the shard lock at both probes
+        loses the rescue). Only a genuine cold miss raises
+        :class:`Overloaded` (queue depth) or :class:`DeadlineUnmet`
+        (queue wait vs. remaining timeout).
+        """
         try:
-            return self.serve(request)
-        except PipelineFailure as failure:
-            reraise_original(failure)
+            cached = self.cache.get(key)
+            if cached is not None:
+                return self.hit_result(request, key, cached, started)
+            if loop_probe is not None:
+                stored = loop_probe(request, key, started)
+                if stored is not None:
+                    return stored
+            try:
+                self._check_capacity(key)
+                self._check_deadline(request, key, started)
+            except (Overloaded, DeadlineUnmet) as rejection:
+                stored = (loop_probe or self._load_from_store)(
+                    request, key, started
+                )
+                if stored is not None:
+                    return stored
+                if isinstance(rejection, DeadlineUnmet):
+                    self.admission.count_deadline_rejected()
+                else:
+                    self.admission.count_overloaded()
+                raise
+        except ServiceError:
+            raise
+        except Exception as error:
+            # The contract is the typed taxonomy, fast paths included:
+            # a raw store failure in the overload rescue (or a cache
+            # error) must not escape untyped.
+            raise wrap_failure(request, error, "serving") from error
+        if loop_probe is not None:
+            fault_point("async_service.dispatch")
+        # The miss was counted by the lookup above, so the worker's
+        # cache double-check (_serve) does not count it again.
+        return self._executor.submit(key, (request, key))
+
+    def _finish(
+        self,
+        request: QueryRequest,
+        key: CacheKey,
+        started: float,
+        outcome: Union[QueryResult, Future],
+        on_loop: bool = False,
+    ) -> QueryResult:
+        """Turn what :meth:`_begin` returned into the caller's envelope.
+
+        An already finished envelope passes through. A flight is read
+        with what remains of the request's deadline — or, for an
+        event-loop driver (``on_loop``) that has already awaited it,
+        without blocking at all — and becomes a per-consumer copy; a
+        flight still running means the deadline expired (the
+        computation keeps going and will still fill the cache).
+        """
+        if isinstance(outcome, QueryResult):
+            return outcome
+        try:
+            shared = outcome.result(
+                timeout=0 if on_loop else self._remaining(request, started)
+            )
+        except FuturesTimeoutError as error:
+            # On 3.11+ a TimeoutError raised *inside* the pipeline
+            # arrives here too: only a flight that finished by raising
+            # pins the error on the pipeline.
+            raise classify_timeout(
+                request,
+                error,
+                outcome.exception() if outcome.done() else None,
+            )
+        except ServiceError:
+            raise
+        except Exception as error:
+            raise wrap_failure(request, error) from error
+        result = self._result_copy(
+            shared,
+            seconds=time.perf_counter() - started,
+            query=request.query,
+            client_id=request.client_id,
+        )
+        # An event loop never swaps pools inline; its driver applies
+        # pending autoscale decisions off the loop afterwards.
+        self._record_request(key, result.seconds, allow_switch=not on_loop)
+        return result
+
+    @staticmethod
+    def _remaining(request: QueryRequest, started: float) -> Optional[float]:
+        """What is left of ``request.timeout`` (None without one).
+
+        Deadlines are absolute from ``started`` — request entry, or
+        batch entry for a batch slot: time already spent in admission,
+        the fast paths (e.g. a saturated store rescue waiting on the
+        store lock), or a predecessor slot's wait consumes budget
+        instead of silently extending it.
+        """
+        if request.timeout is None:
+            return None
+        return max(0.0, request.timeout - (time.perf_counter() - started))
 
     def hit_result(
         self,
@@ -1004,18 +941,19 @@ class QKBflyService:
         self,
         request: QueryRequest,
         error: ServiceError,
-        key: Optional[CacheKey] = None,
-        seconds: float = 0.0,
+        key: Optional[CacheKey],
+        started: float,
     ) -> QueryResult:
         """An error envelope for ``request``, stamped with this
-        deployment's corpus version, the elapsed wall time, and the
-        request key (if one was derived before the failure)."""
+        deployment's corpus version, the wall time elapsed since
+        ``started``, and the request key (if one was derived before
+        the failure)."""
         return QueryResult.failure(
             request,
             error,
             corpus_version=self.session.corpus_version,
             request_key=key.signature() if key is not None else "",
-            seconds=seconds,
+            seconds=time.perf_counter() - started,
         )
 
     def _validate_request(self, request: QueryRequest) -> None:
@@ -1040,24 +978,19 @@ class QKBflyService:
                 f"not {request.algorithm!r}"
             )
 
-    def _check_capacity(self, key: CacheKey, front_depth: int = 0) -> None:
+    def _check_capacity(self, key: CacheKey) -> None:
         """Queue-depth load shedding for new cold work.
 
         Requests whose key is already in flight join that computation
         and add no load, so they are exempt — under saturation the
         service keeps absorbing repeats while shedding *new* work.
-        ``front_depth`` is a front end's own in-flight count: the
-        asyncio facade holds flights in its registry (and the dispatch
-        pool's queue) before they ever reach the executor, so the
-        executor's ``pending`` alone would undercount its load; the
-        max of the two views is used because flights that already
-        reached the executor appear in both.
+        Every front end's flights live in the one executor table, so
+        its ``pending`` is the deployment's whole queue depth.
         """
         if self.admission is None:
             return
         self.admission.check_queue(
-            max(self._executor.pending, front_depth),
-            joining=self._executor.has_flight(key),
+            self._executor.pending, joining=self._executor.has_flight(key)
         )
 
     def _check_deadline(
@@ -1074,45 +1007,12 @@ class QKBflyService:
         (they add no queue load and may be answered early by the
         shared flight); requests without a timeout never reject.
         """
-        if (
-            self.admission is None
-            or not self.service_config.deadline_admission
-            or request.timeout is None
-        ):
+        if self.admission is None or not self.service_config.deadline_admission:
             return
-        remaining = request.timeout - (time.perf_counter() - started)
         self.admission.check_deadline(
-            remaining, joining=self._executor.has_flight(key)
+            self._remaining(request, started),
+            joining=self._executor.has_flight(key),
         )
-
-    def _admit_cold(
-        self, request: QueryRequest, key: CacheKey, started: float
-    ) -> Optional[QueryResult]:
-        """Capacity and deadline gates for a cache-missed request.
-
-        Returns None when the request may queue executor work. When the
-        queue is saturated (or the request's deadline cannot survive
-        the measured queue wait), the store gets one last word before
-        the request is shed: a store-servable key costs a single read,
-        not a pipeline run, so it is answered directly — hits are
-        never shed, on any front end. Only a genuine cold miss raises
-        :class:`Overloaded` (queue depth) or :class:`DeadlineUnmet`
-        (queue wait vs. remaining timeout).
-        """
-        try:
-            self._check_capacity(key)
-            self._check_deadline(request, key, started)
-            return None
-        except (Overloaded, DeadlineUnmet) as error:
-            stored = self._load_from_store(request, key, started)
-            if stored is None:
-                if self.admission is not None:
-                    if isinstance(error, DeadlineUnmet):
-                        self.admission.count_deadline_rejected()
-                    else:
-                        self.admission.count_overloaded()
-                raise
-            return stored
 
     def _load_from_store(
         self, request: QueryRequest, key: CacheKey, started: float
@@ -1191,7 +1091,7 @@ class QKBflyService:
         return result
 
     def _serve(self, request_tuple) -> QueryResult:
-        """Executor entry point for one (request, key, precounted) tuple.
+        """Executor entry point for one (request, key) tuple.
 
         Returns the *canonical* ``KnowledgeBase`` (also held by the
         cache); the result may be shared by every caller that joined
@@ -1200,9 +1100,11 @@ class QKBflyService:
         mutating a served KB (as the QA system does) must never write
         through into the cache or another caller's result.
         """
-        request, key, precounted = request_tuple
+        request, key = request_tuple
         started = time.perf_counter()
-        cached = self.cache.get(key, count=not precounted)
+        # Double-check only: _begin already counted this miss. A hit
+        # here means another flight landed the key in between.
+        cached = self.cache.get(key, count=False)
         if cached is not None:
             return QueryResult(
                 query=request.query,
@@ -1489,7 +1391,7 @@ class QKBflyService:
 
         Public because every front end (sync, asyncio, warm-up) must
         derive identical keys; omitted arguments fall back to the
-        :class:`ServiceConfig` defaults exactly like :meth:`query`.
+        :class:`ServiceConfig` defaults exactly like :meth:`build_kb`.
         """
         return self._key(query, source, num_documents)
 
@@ -1904,12 +1806,11 @@ class QKBflyService:
     def stats(self) -> Dict[str, Any]:
         """Serving counters across all tiers.
 
-        Cache hit/miss counts are exact under sequential use; under
-        concurrent mixed ``query``/``batch_query`` traffic on the same
-        key they can drift by a few lookups (a request that joins
-        another caller's in-flight computation may count its lookup on
-        a different tier) — treat them as monitoring signals, not an
-        audit log.
+        Every request counts exactly one cache lookup (in
+        :meth:`_begin`), whatever front end it came through; the
+        executor's ``submitted`` / ``deduplicated`` / ``pending`` are
+        the deployment-wide flight counters (one single-flight table
+        serves ``serve``, ``serve_batch`` and the asyncio front end).
         """
         out: Dict[str, Any] = {
             "corpus_version": self.session.corpus_version,

@@ -204,15 +204,15 @@ def test_sync_rate_limit_enforced_even_on_cache_hits(service_session):
         assert service.stats()["admission"]["rate_limited"] == 1
 
 
-def test_sync_rate_limit_applies_to_deprecated_shim(service_session):
+def test_sync_rate_limit_applies_to_build_kb(service_session):
+    """The QKBfly-compatible surface is not a side door around
+    admission control."""
     config = ServiceConfig(rate_limit_qps=0.001, rate_limit_burst=1)
     with QKBflyService(service_session, service_config=config) as service:
         name = _top_queries(service_session, 1)[0]
-        with pytest.warns(DeprecationWarning):
-            service.query(name)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(RateLimited):
-                service.query(name)
+        service.build_kb(name)
+        with pytest.raises(RateLimited):
+            service.build_kb(name)
 
 
 def test_sync_queue_shedding_spares_joiners_and_hits(service_session):
@@ -625,7 +625,7 @@ def test_async_queue_shedding_spares_joiners(service_session):
             finally:
                 release.set()
                 sync_service._run_pipeline = original
-            return first, joined, service.deduplicated
+            return first, joined, sync_service._executor.deduplicated
 
     first, joined, deduplicated = asyncio.run(scenario())
     assert first.kb.to_dict() == joined.kb.to_dict()

@@ -4,14 +4,16 @@ Covers the contract layer of the serving API (`repro.service.api`) and
 its integration into both front ends: envelope fields (`status`,
 `served_from`, `request_key`, timing breakdown) threaded through every
 tier, property-based JSON round-tripping, the typed error taxonomy,
-and the deprecation shims pinning pre-v1 `query()` behavior.
+and the parity of the four drivers of the one serve ladder.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -271,24 +273,6 @@ def test_served_from_and_timings_across_tiers(service_session, tmp_path):
         assert stored.kb.to_dict() == cold.kb.to_dict()
 
 
-def test_async_serve_envelope_matches_sync(service_session):
-    async def scenario():
-        async with AsyncQKBflyService(
-            QKBflyService(service_session), own_service=True
-        ) as service:
-            name = _top_queries(service_session, 1)[0]
-            request = QueryRequest(query=name, client_id="loop-client")
-            cold = await service.serve(request)
-            hot = await service.serve(request)
-            return cold, hot
-
-    cold, hot = asyncio.run(scenario())
-    assert cold.served_from == "executor"
-    assert hot.served_from == "cache"
-    assert hot.client_id == "loop-client"
-    assert hot.request_key == cold.request_key
-
-
 def test_variant_pins_enforced(service_session):
     with QKBflyService(service_session) as service:
         name = _top_queries(service_session, 1)[0]
@@ -450,67 +434,347 @@ def test_serve_batch_isolates_error_slots(service_session):
         assert results[0].kb is not None and results[2].kb is not None
 
 
-# ---- deprecation shims -----------------------------------------------------
+# ---- QKBfly-compatible surface ----------------------------------------------
 
 
-def test_query_shim_warns_and_matches_serve(service_session):
-    with QKBflyService(service_session) as service:
-        name = _top_queries(service_session, 1)[0]
-        with pytest.warns(DeprecationWarning, match="QKBflyService.query"):
-            legacy = service.query(name)
-        envelope = service.serve(QueryRequest(query=name))
-        # Same pre-v1 surface on both: the shim returns the envelope
-        # type with the legacy fields intact.
-        assert legacy.kb.to_dict() == envelope.kb.to_dict()
-        assert legacy.normalized_query == envelope.normalized_query
-        assert legacy.corpus_version == envelope.corpus_version
-        assert not legacy.cache_hit and envelope.cache_hit
-        assert legacy.status is QueryStatus.OK
-
-
-def test_batch_query_shim_warns_and_preserves_raise(service_session):
-    with QKBflyService(service_session) as service:
-        name = _top_queries(service_session, 1)[0]
-        with pytest.warns(
-            DeprecationWarning, match="QKBflyService.batch_query"
-        ):
-            results = service.batch_query([name, name])
-        assert len(results) == 2
-
-        def boom(query, source, num_documents):
-            raise RuntimeError("pipeline exploded")
-
-        service._run_pipeline = boom
-        service.cache.clear()
-        # Pre-v1 contract: the raw exception, not a PipelineFailure.
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(RuntimeError, match="pipeline exploded"):
-                service.batch_query(["fresh uncached query"])
-
-
-def test_query_shim_reraises_raw_pipeline_exception(service_session):
+def test_build_kb_reraises_raw_pipeline_exception(service_session):
+    """``build_kb`` stands in for ``QKBfly.build_kb``: the pipeline's
+    own exception, not the PipelineFailure that wrapped it."""
     with QKBflyService(service_session) as service:
 
         def boom(query, source, num_documents):
             raise ValueError("original error")
 
         service._run_pipeline = boom
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="original error"):
-                service.query("some uncached query")
+        with pytest.raises(ValueError, match="original error"):
+            service.build_kb("some uncached query")
 
 
-def test_async_answer_shim_warns(service_session):
-    async def scenario():
-        async with AsyncQKBflyService(
-            QKBflyService(service_session), own_service=True
-        ) as service:
-            name = _top_queries(service_session, 1)[0]
-            with pytest.warns(
-                DeprecationWarning, match="AsyncQKBflyService.answer"
-            ):
-                result = await service.answer(name)
-            return result
+# ---- driver parity: one ladder, four drivers -------------------------------
 
-    result = asyncio.run(scenario())
-    assert result.status is QueryStatus.OK
+DRIVERS = ("serve", "serve_batch", "async_serve", "async_serve_batch")
+COUNTERS = (
+    "hits",
+    "misses",
+    "submitted",
+    "deduplicated",
+    "overloaded",
+    "deadline_rejected",
+)
+
+
+def _drive(driver, service, request):
+    """One request through one driver, reduced to what all four can
+    report: a raised error and an error envelope look the same, except
+    that only an envelope can carry a request key."""
+    try:
+        if driver == "serve":
+            result = service.serve(request)
+        elif driver == "serve_batch":
+            (result,) = service.serve_batch([request])
+        else:
+
+            async def on_loop():
+                async with AsyncQKBflyService(service) as front:
+                    if driver == "async_serve":
+                        return await front.serve(request)
+                    (slot,) = await front.serve_batch([request])
+                    return slot
+
+            result = asyncio.run(on_loop())
+    except ServiceError as error:
+        return {"status": error.status, "code": error.code}
+    if result.status is QueryStatus.OK:
+        assert result.client_id == request.client_id
+        assert result.request_key == service.request_key(
+            request.query
+        ).signature()
+    return {
+        "status": result.status,
+        "code": result.error.code if result.error is not None else None,
+        "served_from": result.served_from,
+        "has_key": bool(result.request_key),
+    }
+
+
+def _counters(service):
+    stats = service.stats()
+    admission = stats.get("admission", {})
+    return {
+        "hits": stats["cache"]["hits"],
+        "misses": stats["cache"]["misses"],
+        "submitted": stats["executor"]["submitted"],
+        "deduplicated": stats["executor"]["deduplicated"],
+        "overloaded": admission.get("overloaded", 0),
+        "deadline_rejected": admission.get("deadline_rejected", 0),
+    }
+
+
+def _measure(driver, service, request):
+    before = _counters(service)
+    observed = _drive(driver, service, request)
+    after = _counters(service)
+    return observed, {name: after[name] - before[name] for name in COUNTERS}
+
+
+@contextlib.contextmanager
+def _gated_pipeline(service):
+    """Hold every pipeline run open until the yielded event is set."""
+    entered, release = threading.Event(), threading.Event()
+    original = service._run_pipeline
+
+    def gated(query, source, num_documents):
+        entered.set()
+        assert release.wait(timeout=30), "pipeline gate never opened"
+        return original(query, source=source, num_documents=num_documents)
+
+    service._run_pipeline = gated
+    try:
+        yield entered, release
+    finally:
+        release.set()
+        service._run_pipeline = original
+
+
+@contextlib.contextmanager
+def _blocked_flight(service, query):
+    """One cold flight for ``query``, parked inside the pipeline."""
+    with _gated_pipeline(service) as (entered, release):
+        flight = threading.Thread(
+            target=service.serve, args=(QueryRequest(query=query),)
+        )
+        flight.start()
+        assert entered.wait(timeout=30)
+        try:
+            yield release
+        finally:
+            release.set()
+            flight.join(timeout=30)
+            assert not flight.is_alive()
+
+
+def _parity_cache_hit(session, driver, names):
+    with QKBflyService(session) as service:
+        service.serve(QueryRequest(query=names[0]))
+        return _measure(driver, service, QueryRequest(query=names[0]))
+
+
+def _parity_store_hit(session, driver, names):
+    config = ServiceConfig(store_path=":memory:")
+    with QKBflyService(session, service_config=config) as service:
+        service.serve(QueryRequest(query=names[0]))
+        service.cache.clear()
+        return _measure(driver, service, QueryRequest(query=names[0]))
+
+
+def _parity_cold_miss(session, driver, names):
+    with QKBflyService(session) as service:
+        return _measure(
+            driver, service, QueryRequest(query=names[0], client_id="c")
+        )
+
+
+def _parity_join(session, driver, names):
+    with QKBflyService(session) as service:
+        with _blocked_flight(service, names[0]) as release:
+            joined = service._executor.deduplicated
+
+            def release_once_joined():
+                deadline = time.monotonic() + 30
+                while (
+                    service._executor.deduplicated == joined
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                release.set()
+
+            watcher = threading.Thread(target=release_once_joined)
+            watcher.start()
+            try:
+                return _measure(
+                    driver, service, QueryRequest(query=names[0])
+                )
+            finally:
+                watcher.join(timeout=30)
+
+
+def _parity_overloaded_store_rescue(session, driver, names):
+    config = ServiceConfig(max_queue_depth=1, store_path=":memory:")
+    with QKBflyService(session, service_config=config) as service:
+        service.serve(QueryRequest(query=names[1]))
+        service.cache.clear()
+        with _blocked_flight(service, names[0]):
+            return _measure(driver, service, QueryRequest(query=names[1]))
+
+
+def _parity_overloaded_shed(session, driver, names):
+    config = ServiceConfig(max_queue_depth=1, store_path=":memory:")
+    with QKBflyService(session, service_config=config) as service:
+        with _blocked_flight(service, names[0]):
+            return _measure(driver, service, QueryRequest(query=names[1]))
+
+
+def _parity_deadline_unmet(session, driver, names):
+    config = ServiceConfig(max_queue_depth=8)
+    with QKBflyService(session, service_config=config) as service:
+        for _ in range(8):
+            service.queue_wait.record(5.0)
+        return _measure(
+            driver, service, QueryRequest(query=names[0], timeout=0.5)
+        )
+
+
+def _parity_timeout(session, driver, names):
+    with QKBflyService(session) as service:
+        with _gated_pipeline(service) as (_, release):
+            measured = _measure(
+                driver, service, QueryRequest(query=names[0], timeout=0.05)
+            )
+            # Only the caller stopped waiting: the flight is still
+            # parked in the pipeline, and lands once released.
+            assert service.stats()["executor"]["pending"] == 1
+            release.set()
+            deadline = time.monotonic() + 30
+            while service._executor.pending and time.monotonic() < deadline:
+                time.sleep(0.001)
+        assert service.pipeline_runs == 1
+        assert service.request_key(names[0]) in service.cache
+        return measured
+
+
+def _parity_pipeline_failure(session, driver, names):
+    with QKBflyService(session) as service:
+
+        def boom(query, source, num_documents):
+            raise RuntimeError("pipeline exploded")
+
+        service._run_pipeline = boom
+        return _measure(driver, service, QueryRequest(query=names[0]))
+
+
+#: scenario -> (run, expected outcome, expected counter deltas,
+#: counters that legitimately differ between blocking and event-loop
+#: drivers).
+PARITY_SCENARIOS = {
+    "cache_hit": (
+        _parity_cache_hit,
+        (QueryStatus.OK, None, "cache"),
+        {"hits": 1, "misses": 0, "submitted": 0},
+        (),
+    ),
+    "store_hit": (
+        _parity_store_hit,
+        (QueryStatus.OK, None, "store"),
+        {"hits": 0, "misses": 1},
+        # The event loop reads the store itself through its
+        # non-blocking probe; a blocking caller leaves the read to
+        # the worker, which costs a flight.
+        ("submitted",),
+    ),
+    "cold_miss": (
+        _parity_cold_miss,
+        (QueryStatus.OK, None, "executor"),
+        {"hits": 0, "misses": 1, "submitted": 1, "deduplicated": 0},
+        (),
+    ),
+    "join": (
+        _parity_join,
+        (QueryStatus.OK, None, "executor"),
+        {"misses": 1, "submitted": 0, "deduplicated": 1},
+        (),
+    ),
+    "overloaded_store_rescue": (
+        _parity_overloaded_store_rescue,
+        (QueryStatus.OK, None, "store"),
+        {"misses": 1, "submitted": 0, "overloaded": 0},
+        (),
+    ),
+    "overloaded_shed": (
+        _parity_overloaded_shed,
+        (QueryStatus.OVERLOADED, "overloaded", None),
+        {"misses": 1, "submitted": 0, "overloaded": 1},
+        (),
+    ),
+    "deadline_unmet": (
+        _parity_deadline_unmet,
+        (QueryStatus.FAILED, "deadline_unmet", None),
+        {"misses": 1, "submitted": 0, "deadline_rejected": 1},
+        (),
+    ),
+    "timeout": (
+        _parity_timeout,
+        (QueryStatus.FAILED, "timeout", None),
+        {"misses": 1, "submitted": 1},
+        (),
+    ),
+    "pipeline_failure": (
+        _parity_pipeline_failure,
+        (QueryStatus.FAILED, "pipeline_failure", None),
+        {"misses": 1, "submitted": 1},
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PARITY_SCENARIOS))
+def test_every_driver_takes_the_same_ladder(service_session, scenario):
+    """serve, a serve_batch slot, async serve and an async serve_batch
+    slot answer one request from the same tier, with the same typed
+    outcome, and move the shared counters by the same amounts."""
+    run, (status, code, served_from), deltas, loop_differs = PARITY_SCENARIOS[
+        scenario
+    ]
+    names = _top_queries(service_session, 2)
+    observed = {}
+    counted = {}
+    for driver in DRIVERS:
+        observed[driver], counted[driver] = run(service_session, driver, names)
+        assert observed[driver]["status"] is status, driver
+        assert observed[driver]["code"] == code, driver
+        # A raised error has no envelope to read a tier or a key from.
+        assert observed[driver].get("served_from") == served_from, driver
+        for name, delta in deltas.items():
+            assert counted[driver][name] == delta, (driver, name)
+    assert counted["serve_batch"] == counted["serve"]
+    assert counted["async_serve_batch"] == counted["async_serve"]
+    for name in COUNTERS:
+        if name not in loop_differs:
+            assert counted["async_serve"][name] == counted["serve"][name], name
+    # Every envelope past admission carries the key, failed or not.
+    assert observed["serve_batch"]["has_key"]
+    assert observed["async_serve_batch"]["has_key"]
+    if status is QueryStatus.OK:
+        assert observed["serve"]["has_key"]
+        assert observed["async_serve"]["has_key"]
+
+
+def test_batch_slot_deadline_admission_counts_from_batch_entry(
+    service_session,
+):
+    """A slot whose timeout its predecessors' begin phase already spent
+    is rejected at admission (fast 504), never queued: admission and
+    the wait read the same clock, started at batch entry."""
+    config = ServiceConfig(max_queue_depth=8)
+    with QKBflyService(service_session, service_config=config) as service:
+        names = _top_queries(service_session, 2)
+        for _ in range(8):
+            service.queue_wait.record(0.05)
+        admit = service.admission.admit
+
+        def slow_admit(client_id, shape=None):
+            if client_id == "slow":
+                time.sleep(0.3)
+            return admit(client_id, shape)
+
+        service.admission.admit = slow_admit
+        first, second = service.serve_batch(
+            [
+                QueryRequest(query=names[0], client_id="slow"),
+                QueryRequest(query=names[1], timeout=0.2),
+            ]
+        )
+        stats = service.stats()
+    assert first.status is QueryStatus.OK
+    assert second.error is not None and second.error.code == "deadline_unmet"
+    assert stats["executor"]["submitted"] == 1
+    assert stats["admission"]["deadline_rejected"] == 1

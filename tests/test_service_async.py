@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.core.qkbfly import QKBfly
-from repro.service.api import QueryRequest
+from repro.service.api import PipelineFailure, QueryRequest
 from repro.service.async_service import AsyncQKBflyService
 from repro.service.service import QKBflyService, ServiceConfig
 
@@ -23,6 +23,10 @@ def _service(service_session, **config_kwargs) -> QKBflyService:
     return QKBflyService(
         service_session, service_config=ServiceConfig(**config_kwargs)
     )
+
+
+def _requests(queries):
+    return [QueryRequest(query=query) for query in queries]
 
 
 def _query_names(service_session, count: int):
@@ -42,8 +46,8 @@ def test_cache_hit_served_on_loop(service_session):
             _service(service_session), own_service=True
         ) as service:
             name = _query_names(service_session, 1)[0]
-            cold = await service.answer(name)
-            hot = await service.answer(name)
+            cold = await service.serve(QueryRequest(query=name))
+            hot = await service.serve(QueryRequest(query=name))
             return cold, hot, service.loop_cache_hits
 
     cold, hot, loop_hits = asyncio.run(scenario())
@@ -60,10 +64,10 @@ def test_store_hit_served_on_loop_and_fills_cache(service_session):
             own_service=True,
         ) as service:
             name = _query_names(service_session, 1)[0]
-            cold = await service.answer(name)
+            cold = await service.serve(QueryRequest(query=name))
             service.cache.clear()
-            stored = await service.answer(name)
-            rehot = await service.answer(name)
+            stored = await service.serve(QueryRequest(query=name))
+            rehot = await service.serve(QueryRequest(query=name))
             return cold, stored, rehot, service.loop_store_hits
 
     cold, stored, rehot, loop_store_hits = asyncio.run(scenario())
@@ -84,7 +88,7 @@ def test_busy_store_lock_falls_through_to_slow_path(service_session):
             sync_service, own_service=True
         ) as service:
             name = _query_names(service_session, 1)[0]
-            await service.answer(name)  # populate the store
+            await service.serve(QueryRequest(query=name))  # populate the store
             service.cache.clear()
 
             release = threading.Event()
@@ -99,7 +103,7 @@ def test_busy_store_lock_falls_through_to_slow_path(service_session):
             holder.start()
             acquired.wait(timeout=30)
             try:
-                task = asyncio.ensure_future(service.answer(name))
+                task = asyncio.ensure_future(service.serve(QueryRequest(query=name)))
                 # Let the coroutine hit the busy lock and dispatch.
                 while service.store_busy_fallthroughs == 0:
                     await asyncio.sleep(0.001)
@@ -140,22 +144,23 @@ def test_concurrent_identical_cold_queries_run_pipeline_once(
             sync_service, own_service=True
         ) as service:
             name = _query_names(service_session, 1)[0]
-            first = asyncio.ensure_future(service.answer(name))
+            first = asyncio.ensure_future(service.serve(QueryRequest(query=name)))
             # The flight is guaranteed in progress once the gate trips.
             await asyncio.get_running_loop().run_in_executor(
                 None, entered.wait
             )
-            second = asyncio.ensure_future(service.answer(name))
-            while service.deduplicated == 0:
+            second = asyncio.ensure_future(service.serve(QueryRequest(query=name)))
+            while sync_service.stats()["executor"]["deduplicated"] == 0:
                 await asyncio.sleep(0.001)
             proceed.set()
             results = await asyncio.gather(first, second)
-            return results, service, sync_service.pipeline_runs
+            return results, sync_service.stats()
 
-    (first, second), service, pipeline_runs = asyncio.run(scenario())
-    assert pipeline_runs == 1
-    assert service.dispatched == 1
-    assert service.deduplicated == 1
+    (first, second), stats = asyncio.run(scenario())
+    assert stats["pipeline_runs"] == 1
+    # One flight in the shared executor table; the joiner counted once.
+    assert stats["executor"]["submitted"] == 1
+    assert stats["executor"]["deduplicated"] == 1
     assert first.kb.to_dict() == second.kb.to_dict()
     # Shared flight, private copies: mutating one result must not leak.
     assert first.kb is not second.kb
@@ -168,7 +173,7 @@ def test_batch_deduplicates_and_preserves_order(service_session):
         ) as service:
             names = _query_names(service_session, 3)
             workload = [names[0], names[1], names[0], names[2], names[1]]
-            results = await service.answer_batch(workload)
+            results = await service.serve_batch(_requests(workload))
             return workload, results, service.service.pipeline_runs
 
     workload, results, pipeline_runs = asyncio.run(scenario())
@@ -186,8 +191,8 @@ def test_mixed_hot_cold_batch(service_session):
             _service(service_session), own_service=True
         ) as service:
             names = _query_names(service_session, 3)
-            await service.answer(names[0])  # make one query hot
-            results = await service.answer_batch(names)
+            await service.serve(QueryRequest(query=names[0]))  # make one query hot
+            results = await service.serve_batch(_requests(names))
             return results
 
     results = asyncio.run(scenario())
@@ -201,7 +206,7 @@ def test_async_results_match_sync_pipeline(service_session):
             _service(service_session), own_service=True
         ) as service:
             names = _query_names(service_session, 3)
-            results = await service.answer_batch(names)
+            results = await service.serve_batch(_requests(names))
             return names, results
 
     names, results = asyncio.run(scenario())
@@ -214,7 +219,7 @@ def test_async_results_match_sync_pipeline(service_session):
 # ---- failure and lifecycle -------------------------------------------------
 
 
-def test_pipeline_failure_propagates_and_clears_registry(service_session):
+def test_pipeline_failure_propagates_and_clears_flight(service_session):
     async def scenario():
         sync_service = _service(service_session)
 
@@ -227,12 +232,14 @@ def test_pipeline_failure_propagates_and_clears_registry(service_session):
             sync_service, own_service=True
         ) as service:
             name = _query_names(service_session, 1)[0]
-            with pytest.raises(RuntimeError, match="pipeline exploded"):
-                await service.answer(name)
-            assert len(service._in_flight) == 0
-            # Registry clean: the repaired pipeline serves the key.
+            with pytest.raises(PipelineFailure) as excinfo:
+                await service.serve(QueryRequest(query=name))
+            assert isinstance(excinfo.value.__cause__, RuntimeError)
+            assert "pipeline exploded" in str(excinfo.value)
+            assert sync_service.stats()["executor"]["pending"] == 0
+            # Flight table clean: the repaired pipeline serves the key.
             sync_service._run_pipeline = original
-            result = await service.answer(name)
+            result = await service.serve(QueryRequest(query=name))
             return result
 
     result = asyncio.run(scenario())
@@ -245,11 +252,11 @@ def test_closed_service_rejects_requests(service_session):
             _service(service_session), own_service=True
         )
         name = _query_names(service_session, 1)[0]
-        await service.answer(name)
+        await service.serve(QueryRequest(query=name))
         await service.aclose()
         await service.aclose()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
-            await service.answer(name)
+            await service.serve(QueryRequest(query=name))
 
     asyncio.run(scenario())
 
@@ -259,9 +266,9 @@ def test_instance_is_pinned_to_one_loop(service_session):
         _service(service_session), own_service=True
     )
     name = _query_names(service_session, 1)[0]
-    asyncio.run(service.answer(name))
+    asyncio.run(service.serve(QueryRequest(query=name)))
     with pytest.raises(RuntimeError, match="another event loop"):
-        asyncio.run(service.answer(name))
+        asyncio.run(service.serve(QueryRequest(query=name)))
     asyncio.run(service.aclose())
 
 
@@ -280,16 +287,16 @@ def test_stats_surface(service_session):
             _service(service_session), own_service=True
         ) as service:
             names = _query_names(service_session, 2)
-            await service.answer(names[0])
-            await service.answer(names[0])
-            await service.answer(names[1])
+            await service.serve(QueryRequest(query=names[0]))
+            await service.serve(QueryRequest(query=names[0]))
+            await service.serve(QueryRequest(query=names[1]))
             return service.stats()
 
     stats = asyncio.run(scenario())
     assert stats["async"]["answered"] == 3
     assert stats["async"]["loop_cache_hits"] == 1
-    assert stats["async"]["dispatched"] == 2
-    assert stats["async"]["in_flight"] == 0
+    assert stats["executor"]["submitted"] == 2
+    assert stats["executor"]["pending"] == 0
     assert stats["pipeline_runs"] == 2
 
 
@@ -311,15 +318,17 @@ def test_cache_hits_never_wait_on_a_slow_cold_query(service_session):
         ) as service:
             names = _query_names(service_session, 2)
             hot = names[0]
-            await service.answer(hot)  # warm one query
+            await service.serve(QueryRequest(query=hot))  # warm one query
             sync_service._run_pipeline = slow
-            cold_task = asyncio.ensure_future(service.answer(names[1]))
+            cold_task = asyncio.ensure_future(
+                service.serve(QueryRequest(query=names[1]))
+            )
             await asyncio.sleep(0.01)  # the cold flight is now blocked
             assert not cold_task.done()
             hit_latencies = []
             for _ in range(50):
                 t0 = time.perf_counter()
-                result = await service.answer(hot)
+                result = await service.serve(QueryRequest(query=hot))
                 hit_latencies.append(time.perf_counter() - t0)
                 assert result.cache_hit
             release.set()
@@ -331,54 +340,3 @@ def test_cache_hits_never_wait_on_a_slow_cold_query(service_session):
     # Every hit resolved while the cold pipeline was still held open;
     # the generous ceiling only guards against seconds-scale stalls.
     assert max(hit_latencies) < 1.0
-
-
-# ---- dispatch pool follows the autoscaled worker width ---------------------
-
-
-def test_dispatch_pool_follows_pool_workers(service_session):
-    """The loop->executor bridge must track decide_pool_size resizes:
-    a widened worker pool behind a fixed-width dispatch pool would
-    still serve at the old concurrency."""
-
-    async def scenario():
-        sync_service = _service(service_session, max_workers=2)
-        async with AsyncQKBflyService(
-            sync_service, own_service=True
-        ) as service:
-            names = _query_names(service_session, 2)
-            assert service.front_end_stats()["dispatch_workers"] == 2
-            # An autoscaler decision lands (simulated): the next cold
-            # dispatch rebuilds the bridge at the new width.
-            sync_service.pool_workers = 5
-            result = await service.serve(QueryRequest(query=names[0]))
-            stats = service.front_end_stats()
-            assert result.status.value == "ok"
-            assert stats["dispatch_workers"] == 5
-            assert stats["dispatch_resizes"] == 1
-            # Stable width: no churn on the next cold query.
-            await service.serve(QueryRequest(query=names[1]))
-            assert service.front_end_stats()["dispatch_resizes"] == 1
-            return service.stats()
-
-    stats = asyncio.run(scenario())
-    assert stats["async"]["dispatch_workers"] == 5
-
-
-def test_pinned_dispatch_pool_never_resizes(service_session):
-    """An explicit dispatch_workers is an operator pin, exactly like
-    process_workers on the sync side."""
-
-    async def scenario():
-        sync_service = _service(service_session, max_workers=2)
-        async with AsyncQKBflyService(
-            sync_service, own_service=True, dispatch_workers=3
-        ) as service:
-            name = _query_names(service_session, 1)[0]
-            sync_service.pool_workers = 8
-            await service.serve(QueryRequest(query=name))
-            return service.front_end_stats()
-
-    stats = asyncio.run(scenario())
-    assert stats["dispatch_workers"] == 3
-    assert stats["dispatch_resizes"] == 0

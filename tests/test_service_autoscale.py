@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.service.api import PipelineFailure, QueryRequest
 from repro.service.autoscale import AutoscalePolicy, ExecutorSelector
 from repro.service.service import QKBflyService, ServiceConfig
 
@@ -160,7 +161,7 @@ def test_service_pins_threads_when_process_pool_falls_back(
         # Distinct pipeline-bound traffic can no longer flip the tier.
         names = _query_names(service_session, 4)
         for name in names:
-            service.query(name)
+            service.serve(QueryRequest(query=name))
         assert service.executor_kind == "thread"
         assert service.executor_switches == 0
 
@@ -271,18 +272,18 @@ def test_auto_service_switches_tiers_at_runtime(
         # must not stall a microsecond hit) — the pending decision is
         # applied explicitly (or by the next miss).
         for _ in range(8):
-            service.query(names[0])
+            service.serve(QueryRequest(query=names[0]))
         assert service.executor_kind == "process"
         assert service.autoscale_tick() == "thread"
         assert service.executor_kind == "thread"
         assert service.executor_switches == 1
         # Distinct cold queries: pipeline-bound, distinct-heavy window.
         for name in names[1:8]:
-            service.query(name)
+            service.serve(QueryRequest(query=name))
         assert service.executor_kind == "process"
         assert service.executor_switches == 2
         # The served results stayed correct across both switches.
-        result = service.query(names[1])
+        result = service.serve(QueryRequest(query=names[1]))
         assert result.cache_hit
 
 
@@ -307,7 +308,8 @@ def test_in_flight_request_survives_tier_swap(service_session):
                 pass
 
         service._pipeline_executor = SwappedOutPool()
-        result = service.query(name)  # retried inline on the new tier
+        # retried inline on the new tier
+        result = service.serve(QueryRequest(query=name))
         assert not result.cache_hit
         assert len(result.kb.facts) > 0
 
@@ -327,11 +329,12 @@ def test_genuine_pipeline_error_is_not_swallowed(service_session):
                 pass
 
         service._pipeline_executor = BrokenPool()
-        with pytest.raises(RuntimeError, match="pool shutdown"):
-            service.query(name)
+        with pytest.raises(PipelineFailure, match="pool shutdown") as excinfo:
+            service.serve(QueryRequest(query=name))
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
 
 
-def test_batch_query_records_traffic(service_session, monkeypatch):
+def test_serve_batch_records_traffic(service_session, monkeypatch):
     recorded = []
     monkeypatch.setattr(
         "repro.service.service.ExecutorSelector",
@@ -347,7 +350,9 @@ def test_batch_query_records_traffic(service_session, monkeypatch):
             original(signature, seconds)
 
         service._selector.record = spy
-        service.batch_query([names[0], names[1], names[0]])
+        service.serve_batch(
+            [QueryRequest(query=q) for q in (names[0], names[1], names[0])]
+        )
     # One observation per *request*, before dedup collapses repeats.
     assert len(recorded) == 3
 
@@ -501,7 +506,7 @@ def test_fixed_tier_never_resizes(service_session):
     with QKBflyService(service_session, service_config=config) as service:
         for name in names:
             service.serve_batch([])  # no-op, just exercise the surface
-            service.query(name)
+            service.serve(QueryRequest(query=name))
         assert service.pool_workers == 2
         assert service.pool_resizes == 0
         assert "autoscale" not in service.stats()

@@ -6,10 +6,15 @@ import threading
 from concurrent.futures import Future
 
 from repro.core.qkbfly import QKBfly
+from repro.service.api import QueryRequest
 from repro.service.cache import QueryCache
 from repro.service.executor import BatchExecutor
 from repro.service.kb_store import KbStore
 from repro.service.service import QKBflyService, ServiceConfig
+
+
+def _requests(queries):
+    return [QueryRequest(query=query) for query in queries]
 
 
 def _service(service_session, **kwargs) -> QKBflyService:
@@ -193,7 +198,7 @@ def test_batch_results_identical_to_sequential_runs(service_session):
         for q in queries
     ]
     with _service(service_session) as service:
-        results = service.batch_query(queries)
+        results = service.serve_batch(_requests(queries))
     assert [r.kb.to_dict() for r in results] == expected
 
 
@@ -201,7 +206,7 @@ def test_batch_deduplicates_repeated_queries(service_session):
     queries = _query_names(service_session, 2)
     workload = queries * 3  # each query appears three times
     with _service(service_session) as service:
-        results = service.batch_query(workload)
+        results = service.serve_batch(_requests(workload))
         assert len(results) == len(workload)
         # Only one pipeline run per distinct query.
         assert service.pipeline_runs == len(queries)
@@ -213,12 +218,12 @@ def test_query_flows_cache_then_store_then_pipeline(service_session, tmp_path):
     store = KbStore(str(tmp_path / "kb.sqlite"))
     query = _query_names(service_session, 1)[0]
     with _service(service_session, store=store) as service:
-        cold = service.query(query)
+        cold = service.serve(QueryRequest(query=query))
         assert not cold.cache_hit and not cold.store_hit
-        warm = service.query(query)
+        warm = service.serve(QueryRequest(query=query))
         assert warm.cache_hit
         service.cache.clear()
-        from_store = service.query(query)
+        from_store = service.serve(QueryRequest(query=query))
         assert from_store.store_hit and not from_store.cache_hit
         assert cold.kb.to_dict() == warm.kb.to_dict() == from_store.kb.to_dict()
         assert service.pipeline_runs == 1
@@ -257,12 +262,12 @@ def test_refresh_corpus_invalidates_cache_and_store(service_session, tmp_path):
     query = _query_names(service_session, 1)[0]
     with _service(service_session, store=store) as service:
         original_version = service.corpus_version
-        service.query(query)
+        service.serve(QueryRequest(query=query))
         new_version = service.refresh_corpus(version="test-v2")
         assert new_version == "test-v2" != original_version
         assert len(service.cache) == 0
         assert store.stats()["kb_entries"] == 0
-        refreshed = service.query(query)
+        refreshed = service.serve(QueryRequest(query=query))
         assert not refreshed.cache_hit and not refreshed.store_hit
         assert service.pipeline_runs == 2
         # Restore the session's natural version for other tests.
@@ -304,6 +309,6 @@ def test_concurrent_queries_share_session_safely(service_session):
         service_config=ServiceConfig(max_workers=8),
     )
     with service:
-        results = service.batch_query(queries * 2)
+        results = service.serve_batch(_requests(queries * 2))
     for query, result in zip(queries * 2, results):
         assert result.kb.to_dict() == expected[query]

@@ -15,6 +15,8 @@ import json
 import threading
 from typing import Dict, Optional, Tuple
 
+import pytest
+
 from repro.service.async_service import AsyncQKBflyService
 from repro.service.gateway import HttpGateway
 from repro.service.service import QKBflyService, ServiceConfig
@@ -288,6 +290,28 @@ def test_healthz_and_unknown_routes(service_session):
     assert wrong_method[0] == 405
     assert wrong_method[1]["allow"] == "POST"
     assert wrong_health[0] == 405
+
+
+@pytest.mark.parametrize("path", sorted(HttpGateway.ROUTES) + ["/v1/nope"])
+def test_route_table_wrong_method_405_unknown_path_404(service_session, path):
+    """Every route of the table answers its one method only; the 405
+    names the allowed one. A path outside the table is a 404."""
+    allowed = HttpGateway.ROUTES.get(path, (None, None))[0]
+    wrong = "POST" if allowed == "GET" else "GET"
+
+    async def scenario():
+        async with _gateway(service_session) as gateway:
+            async with HttpClient(gateway.host, gateway.port) as client:
+                return await client.request(wrong, path)
+
+    status, headers, payload = asyncio.run(scenario())
+    if allowed is None:
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
+    else:
+        assert status == 405
+        assert headers["allow"] == allowed
+        assert payload["error"]["code"] == "method_not_allowed"
 
 
 def test_malformed_bodies_get_400(service_session):

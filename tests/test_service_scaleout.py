@@ -6,8 +6,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.qkbfly import QKBfly
+from repro.service.api import QueryRequest
 from repro.service.service import QKBflyService, ServiceConfig
 from repro.service.sharding import ShardedKbStore
+
+
+def _requests(queries):
+    return [QueryRequest(query=query) for query in queries]
 
 
 def _top_queries(service_session, count: int):
@@ -41,12 +46,12 @@ def test_sharded_process_service_cold_warm_parity(service_session, tmp_path):
         store_shards=3,
     )
     with QKBflyService(service_session, service_config=config) as service:
-        cold = service.batch_query(workload)
+        cold = service.serve_batch(_requests(workload))
         assert len(cold) == len(workload)
         for query, result in zip(workload, cold):
             assert result.kb.to_dict() == expected[query], query
         assert service.pipeline_runs == len(queries)  # dedup held
-        warm = [service.query(q) for q in queries]
+        warm = [service.serve(QueryRequest(query=q)) for q in queries]
         assert all(r.cache_hit for r in warm)
         for query, result in zip(queries, warm):
             assert result.kb.to_dict() == expected[query]
@@ -66,7 +71,7 @@ def test_restart_with_warm_cache_serves_hits_without_pipeline(
     with QKBflyService(
         service_session, service_config=ServiceConfig(**base)
     ) as service:
-        service.batch_query(queries)
+        service.serve_batch(_requests(queries))
 
     # "Restart": a fresh service over the same store, warmed on start.
     warm_config = ServiceConfig(**base, warm_cache_on_start=True)
@@ -75,7 +80,7 @@ def test_restart_with_warm_cache_serves_hits_without_pipeline(
     ) as restarted:
         assert len(restarted.cache) == len(queries)
         for query in queries:
-            result = restarted.query(query)
+            result = restarted.serve(QueryRequest(query=query))
             assert result.cache_hit
             assert result.kb.to_dict() == expected[query]
         assert restarted.pipeline_runs == 0
@@ -88,7 +93,7 @@ def test_warm_cache_respects_limit_and_servability(service_session, tmp_path):
     with QKBflyService(
         service_session, service_config=ServiceConfig(**base)
     ) as service:
-        service.batch_query(queries)
+        service.serve_batch(_requests(queries))
         # Plant a stale-version row: warm-up must skip it.
         from repro.service.cache import normalize_query
 
@@ -127,17 +132,17 @@ def test_warmed_entries_evict_oldest_first(service_session, tmp_path):
         service_session, service_config=ServiceConfig(**base)
     ) as service:
         for query in queries:  # q[4] is saved last -> newest
-            service.query(query)
+            service.serve(QueryRequest(query=query))
 
     small = ServiceConfig(**base, cache_size=3, warm_cache_on_start=True)
     with QKBflyService(service_session, service_config=small) as restarted:
         assert len(restarted.cache) == 3  # the three newest: q[2..4]
         # One new cold query fills the cache past capacity...
-        restarted.query("brand new query nobody stored")
+        restarted.serve(QueryRequest(query="brand new query nobody stored"))
         # ...evicting the *oldest* warmed entry, not the newest.
-        assert restarted.query(queries[4]).cache_hit
-        assert restarted.query(queries[3]).cache_hit
-        assert not restarted.query(queries[2]).cache_hit
+        assert restarted.serve(QueryRequest(query=queries[4])).cache_hit
+        assert restarted.serve(QueryRequest(query=queries[3])).cache_hit
+        assert not restarted.serve(QueryRequest(query=queries[2])).cache_hit
 
 
 def test_service_compaction_policy_applies_from_config(
@@ -151,7 +156,7 @@ def test_service_compaction_policy_applies_from_config(
         store_max_entries=2,
     )
     with QKBflyService(service_session, service_config=config) as service:
-        service.batch_query(queries)
+        service.serve_batch(_requests(queries))
         assert service.store.stats()["kb_entries"] == len(queries)
         removed = service.compact_store()
         assert removed == len(queries) - 2
@@ -172,7 +177,7 @@ def test_compact_store_on_start_trims_reopened_store(
             store_path=store_dir, store_shards=2, max_workers=2
         ),
     ) as service:
-        service.batch_query(queries)
+        service.serve_batch(_requests(queries))
 
     reopened_config = ServiceConfig(
         store_path=store_dir,
@@ -198,13 +203,13 @@ def test_refresh_corpus_rebuilds_process_workers(service_session, tmp_path):
     )
     with QKBflyService(service_session, service_config=config) as service:
         original_version = service.corpus_version
-        before = service.query(query)
+        before = service.serve(QueryRequest(query=query))
         assert not before.cache_hit
         old_executor = service._pipeline_executor
         service.refresh_corpus(version="scaleout-v2")
         try:
             assert service._pipeline_executor is not old_executor
-            refreshed = service.query(query)
+            refreshed = service.serve(QueryRequest(query=query))
             assert not refreshed.cache_hit and not refreshed.store_hit
             assert refreshed.kb.to_dict() == before.kb.to_dict()
             assert service.pipeline_runs == 2
@@ -230,7 +235,8 @@ def test_service_accepts_preopened_sharded_store(service_session, tmp_path):
         store=store,
     ) as service:
         for query in queries:
-            assert service.query(query).kb.to_dict() == expected[query]
+            result = service.serve(QueryRequest(query=query))
+            assert result.kb.to_dict() == expected[query]
         service.cache.clear()
-        hit = service.query(queries[0])
+        hit = service.serve(QueryRequest(query=queries[0]))
         assert hit.store_hit and not hit.cache_hit
