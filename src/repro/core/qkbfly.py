@@ -72,6 +72,23 @@ class QKBflyConfig:
     weights: WeightParameters = field(default_factory=WeightParameters)
     ilp_time_budget: float = 120.0
 
+    def digest(self) -> str:
+        """Fingerprint of the result-shaping knobs beyond mode and
+        algorithm (parser, tau, triples_only, weights, ILP budget), so
+        cache, store and fragment-stage keys separate configs that
+        produce different KBs. A persisted store-key column: the
+        payload format must not change."""
+        payload = "|".join(
+            (
+                self.parser,
+                f"{self.tau}",
+                str(self.triples_only),
+                ",".join(str(a) for a in self.weights.as_tuple()),
+                f"{self.ilp_time_budget}",
+            )
+        )
+        return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
+
 
 @dataclass
 class DocumentTrace:
@@ -137,6 +154,8 @@ class SessionState:
         self._corpus_version = corpus_version
         self._nlp = nlp
         self._stage_cache = stage_cache
+        # id(piece) -> (piece, its fingerprint); see :meth:`fingerprint_of`.
+        self._fingerprints: Dict[int, Tuple[object, str]] = {}
         # Per-entity version vector, installed by the serving layer's
         # live-ingest path (an :class:`~repro.service.ingest.versions.
         # EntityVersionVector`); None outside a serving deployment.
@@ -178,6 +197,7 @@ class SessionState:
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()
         state["_nlp"] = None  # derived; rebuilt lazily after unpickling
+        state["_fingerprints"] = {}  # keyed on object identity
         # The version vector is serving-process state (and carries a
         # lock): workers see None and use the empty versions token.
         state["entity_versions"] = None
@@ -194,6 +214,27 @@ class SessionState:
         spec = state.pop("_stage_cache", None)
         self.__dict__.update(state)
         self._stage_cache = spec.build() if spec is not None else None
+
+    def fingerprint_of(self, piece) -> str:
+        """``piece.fingerprint()``, memoised per object — ``piece`` is
+        an entity repository, a pattern repository or the statistics.
+
+        Milliseconds each and needed by every :class:`QKBfly` bound to
+        the session (a live ingest binds a fresh one over the *same*
+        repositories), so each is computed once per object. A swapped
+        piece is another object and gets its own fingerprint; an
+        in-place mutation must be announced with
+        :meth:`forget_fingerprints` (``refresh_corpus`` does).
+        """
+        memo = self._fingerprints.get(id(piece))
+        if memo is None or memo[0] is not piece:
+            memo = (piece, piece.fingerprint())
+            self._fingerprints[id(piece)] = memo
+        return memo[1]
+
+    def forget_fingerprints(self) -> None:
+        """Drop the memoised fingerprints (a piece changed in place)."""
+        self._fingerprints = {}
 
     @property
     def corpus_version(self) -> str:
@@ -248,10 +289,12 @@ class SessionState:
         in-place edit to any of them yields a new version, which
         invalidates cached and stored query results.
         """
+        self.forget_fingerprints()  # a fresh look at every piece
         digest = hashlib.sha1()
-        digest.update(self.entity_repository.fingerprint().encode("utf-8"))
-        digest.update(self.pattern_repository.fingerprint().encode("utf-8"))
-        digest.update(self.statistics.fingerprint().encode("utf-8"))
+        for piece in (
+            self.entity_repository, self.pattern_repository, self.statistics
+        ):
+            digest.update(self.fingerprint_of(piece).encode("utf-8"))
         if self.search_engine is not None:
             for prefix, docs in (
                 (b"w", self.search_engine.wikipedia_docs),
@@ -321,10 +364,14 @@ class QKBfly:
                 )
             )
         self.builder = GraphBuilder(session.entity_repository)
-        # Memoized NLP-stage configuration digest (parser + entity-
-        # repository fingerprint); computed on first staged build. A
-        # corpus refresh rebinds a fresh QKBfly, which recomputes it.
+        #: ``config.digest()``, taken once: the cache-, store- and
+        #: fragment-key column of every build this instance runs.
+        self.config_digest = self.config.digest()
+        # Memoized stage configuration digests, computed on first staged
+        # build from the session's memoised fingerprints. A corpus
+        # refresh rebinds a fresh QKBfly, which recomputes them.
         self._nlp_stage_digest_memo: Optional[str] = None
+        self._fragment_stage_digest_memo: Optional[str] = None
         self.canonicalizer = Canonicalizer(
             session.pattern_repository,
             session.entity_repository,
@@ -375,12 +422,15 @@ class QKBfly:
     ) -> KnowledgeBase:
         """Retrieve documents for ``query`` and build the on-the-fly KB.
 
-        The build runs as explicit stages — retrieval → NLP annotation
-        → clause extraction → graph/densify/canonicalize — and when the
-        session carries a :class:`~repro.service.stage_cache.StageCache`
-        the upstream stages are served from it under content-addressed
-        signatures, so overlapping queries (same documents, different
-        query strings) only re-run the per-query graph stage. Output is
+        The answer is ``merge(fragment(d) for d in retrieve(query))``:
+        retrieval, then per document NLP annotation → clause extraction
+        → graph/densify/canonicalize (the document's *fragment*, which
+        depends on the document, the config and the static repositories
+        and on nothing else), then an ordered fold. When the session
+        carries a :class:`~repro.service.stage_cache.StageCache` all
+        four stages are served from it under content-addressed
+        signatures, so a query only pays for retrieval, the merge and
+        the documents no earlier query retrieved. Output is
         bit-identical with and without the cache (see
         ``docs/PIPELINE.md``).
         """
@@ -389,10 +439,7 @@ class QKBfly:
         documents = self._retrieval_stage(query, source, num_documents)
         kb = KnowledgeBase()
         for document in documents:
-            annotated, nlp_signature = self._nlp_stage(document)
-            clauses = self._extraction_stage(annotated, nlp_signature)
-            fragment, _, _ = self.process_document(annotated, clauses=clauses)
-            kb.merge(fragment)
+            kb.merge(self.document_fragment(document))
         return kb
 
     # ------------------------------------------------------------------
@@ -507,17 +554,19 @@ class QKBfly:
 
     def _extraction_stage(
         self, annotated: Document, nlp_signature: str
-    ) -> Optional[List[List[Clause]]]:
-        """Stage 2: per-sentence ClausIE clause lists for the document.
+    ) -> Tuple[Optional[List[List[Clause]]], str]:
+        """Stage 2: per-sentence ClausIE clause lists for the document,
+        plus their stage signature.
 
         Keyed on the extractor version and the upstream NLP signature —
         extraction is deterministic over the annotation, so the chained
-        signature is its complete identity. Returns None when caching
-        is off, letting :meth:`GraphBuilder.build` extract inline.
+        signature is its complete identity. Returns ``(None, "")`` when
+        caching is off, letting :meth:`GraphBuilder.build` extract
+        inline.
         """
         cache = self.stage_cache
         if cache is None or not nlp_signature:
-            return None
+            return None, ""
         signature = _stage_signature(
             "extract", EXTRACTOR_VERSION, nlp_signature
         )
@@ -528,16 +577,69 @@ class QKBfly:
                 for sentence in annotated.sentences
             ]
             cache.put("extract", signature, clauses)
-        return clauses
+        return clauses, signature
+
+    def document_fragment(self, document: RealizedDocument) -> KnowledgeBase:
+        """Stages 1-3 over one retrieved document: its KB *fragment*.
+
+        With a stage cache the fragment is looked up at the end of the
+        document's signature chain — nlp → extract (document content,
+        parser, entity repository, extractor) → fragment (mode,
+        algorithm, :meth:`QKBflyConfig.digest`, pattern repository,
+        statistics) — so it is built once per document × config, not
+        once per query that retrieves the document. A cached fragment
+        is **shared**: read it, :meth:`KnowledgeBase.merge` it, never
+        mutate it.
+
+        ``algorithm="ilp"`` always builds: the solver stops on a
+        wall-clock budget, so its fragment is not a function of the
+        document alone.
+        """
+        annotated, nlp_signature = self._nlp_stage(document)
+        clauses, extract_signature = self._extraction_stage(
+            annotated, nlp_signature
+        )
+        cache = self.stage_cache
+        if (
+            cache is None
+            or not extract_signature
+            or self.config.algorithm == "ilp"
+        ):
+            return self.process_document(annotated, clauses=clauses)[0]
+        signature = _stage_signature(
+            "fragment", self._fragment_stage_digest(), extract_signature
+        )
+        fragment = cache.get("fragment", signature)
+        if fragment is None:
+            fragment = self.process_document(annotated, clauses=clauses)[0]
+            cache.put(
+                "fragment",
+                signature,
+                fragment,
+                size_bytes=_fragment_size(fragment),
+            )
+        return fragment
 
     def _nlp_stage_digest(self) -> str:
         if self._nlp_stage_digest_memo is None:
             self._nlp_stage_digest_memo = _stage_signature(
                 "nlp-config",
                 self.config.parser,
-                self.entity_repository.fingerprint(),
+                self.session.fingerprint_of(self.entity_repository),
             )
         return self._nlp_stage_digest_memo
+
+    def _fragment_stage_digest(self) -> str:
+        if self._fragment_stage_digest_memo is None:
+            self._fragment_stage_digest_memo = _stage_signature(
+                "fragment-config",
+                self.config.mode,
+                self.config.algorithm,
+                self.config_digest,
+                self.session.fingerprint_of(self.pattern_repository),
+                self.session.fingerprint_of(self.statistics),
+            )
+        return self._fragment_stage_digest_memo
 
     # ------------------------------------------------------------------
     # Document processing
@@ -675,6 +777,24 @@ class QKBfly:
         return IlpStage2(time_budget=self.config.ilp_time_budget).run(
             graph, weights
         )
+
+
+def _fragment_size(fragment: KnowledgeBase) -> int:
+    """Stage-cache weight of one fragment, from its counts.
+
+    Pickling the fragment to weigh it (the stage cache's default) costs
+    more than merging it; rows are near-uniform, so counts are as
+    honest. The constants are a least-squares fit of the pickled size
+    over the 240 fragments of the reference world, each rounded up.
+    """
+    mentions = sum(len(m) for m in fragment.entity_mentions.values())
+    return (
+        384
+        + 160 * len(fragment.facts)
+        + 128 * len(fragment.emerging)
+        + 32 * len(fragment.entity_types)
+        + 24 * mentions
+    )
 
 
 def _restrict_to_triples(kb: KnowledgeBase) -> KnowledgeBase:

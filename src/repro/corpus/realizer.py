@@ -27,6 +27,11 @@ from repro.utils.rng import DeterministicRng
 
 _VOWELS = "aeiou"
 
+#: Instance attribute under which
+#: :func:`repro.corpus.statistics.document_tokens` keeps its memo on a
+#: :class:`RealizedDocument`; not a field, and dropped from pickles.
+TOKENS_MEMO = "_tokens_memo"
+
 
 def indefinite_article(noun: str) -> str:
     """Return "a" or "an" for ``noun``."""
@@ -89,6 +94,12 @@ class RealizedDocument:
     def anchors(self) -> List[MentionRecord]:
         """Named (non-pronoun) mentions, the Wikipedia-link analogue."""
         return [m for m in self.mentions if not m.is_pronoun]
+
+    def __getstate__(self) -> Dict:
+        # Derived and re-derivable: keeps session pickles small.
+        state = self.__dict__.copy()
+        state.pop(TOKENS_MEMO, None)
+        return state
 
 
 class Realizer:

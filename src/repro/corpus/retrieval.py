@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.corpus.realizer import RealizedDocument, Realizer
-from repro.corpus.statistics import content_tokens
+from repro.corpus.statistics import content_tokens, document_tokens
 from repro.corpus.world import World
 
 
@@ -101,7 +101,7 @@ class SearchEngine:
 
     @staticmethod
     def _doc_tokens(doc: RealizedDocument) -> List[str]:
-        return content_tokens(doc.title) * 2 + content_tokens(doc.text)
+        return document_tokens(doc, "title") * 2 + document_tokens(doc)
 
     def search(
         self, query: str, source: str = "wikipedia", k: int = 10

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.corpus.realizer import RealizedDocument
+from repro.corpus.realizer import TOKENS_MEMO, RealizedDocument
 from repro.utils.vectors import SparseVector
 
 _STOPWORDS: Set[str] = {
@@ -39,6 +39,24 @@ def content_tokens(text: str) -> List[str]:
         for tok in tokenize(text)
         if tok.lower() not in _STOPWORDS and any(ch.isalnum() for ch in tok)
     ]
+
+
+def document_tokens(doc: RealizedDocument, part: str = "text") -> List[str]:
+    """``content_tokens`` of ``doc.text`` (or of ``part="title"``),
+    tokenised once per document.
+
+    The statistics pass and every search-engine build (one per live
+    ingest) read the same documents. The memo rides on the document
+    and is checked against the current string — ``RealizedDocument`` is
+    mutable and an in-place edit must be noticed — and is left out of
+    the document's pickle. The list is shared: do not mutate it.
+    """
+    value = getattr(doc, part)
+    memo = doc.__dict__.setdefault(TOKENS_MEMO, {})
+    entry = memo.get(part)
+    if entry is None or entry[0] != value:
+        entry = memo[part] = (value, content_tokens(value))
+    return entry[1]
 
 
 @dataclass
@@ -154,7 +172,7 @@ def compute_statistics(
     article_tokens: Dict[str, List[str]] = {}
 
     for doc in documents:
-        tokens = content_tokens(doc.text)
+        tokens = document_tokens(doc)
         stats.num_docs += 1
         for token in set(tokens):
             stats.doc_freq[token] = stats.doc_freq.get(token, 0) + 1
@@ -204,4 +222,9 @@ def compute_statistics(
     return stats
 
 
-__all__ = ["BackgroundStatistics", "compute_statistics", "content_tokens"]
+__all__ = [
+    "BackgroundStatistics",
+    "compute_statistics",
+    "content_tokens",
+    "document_tokens",
+]

@@ -105,6 +105,20 @@ class Fact:
             tuple((o.kind, o.value) for o in self.objects),
         )
 
+    def copy(self) -> "Fact":
+        """A row of its own: fresh ``objects`` list, shared (frozen)
+        ``Argument`` instances."""
+        return Fact(
+            subject=self.subject,
+            predicate=self.predicate,
+            objects=list(self.objects),
+            pattern=self.pattern,
+            confidence=self.confidence,
+            doc_id=self.doc_id,
+            sentence_index=self.sentence_index,
+            canonical_predicate=self.canonical_predicate,
+        )
+
     def to_dict(self) -> Dict:
         """Plain-dict form (stable field order) for persistence."""
         return {
@@ -151,6 +165,15 @@ class EmergingEntity:
     mentions: List[str] = field(default_factory=list)
     guessed_type: str = "MISC"
 
+    def copy(self) -> "EmergingEntity":
+        """A cluster record of its own (fresh ``mentions`` list)."""
+        return EmergingEntity(
+            cluster_id=self.cluster_id,
+            display_name=self.display_name,
+            mentions=list(self.mentions),
+            guessed_type=self.guessed_type,
+        )
+
     def to_dict(self) -> Dict:
         """Plain-dict form for persistence."""
         return {
@@ -193,14 +216,17 @@ class KnowledgeBase:
         """
         key = fact.key()
         if key in self._fact_keys:
-            for existing in self.facts:
-                if existing.key() == key:
-                    existing.confidence = max(existing.confidence, fact.confidence)
-                    break
+            self._raise_confidence(key, fact.confidence)
             return False
         self._fact_keys.add(key)
         self.facts.append(fact)
         return True
+
+    def _raise_confidence(self, key: Tuple, confidence: float) -> None:
+        for existing in self.facts:
+            if existing.key() == key:
+                existing.confidence = max(existing.confidence, confidence)
+                break
 
     def add_emerging(self, entity: EmergingEntity) -> None:
         """Register an emerging entity cluster."""
@@ -287,27 +313,12 @@ class KnowledgeBase:
         shared; everything mutable is duplicated.
         """
         out = KnowledgeBase()
-        for fact in self.facts:
-            out.facts.append(
-                Fact(
-                    subject=fact.subject,
-                    predicate=fact.predicate,
-                    objects=list(fact.objects),
-                    pattern=fact.pattern,
-                    confidence=fact.confidence,
-                    doc_id=fact.doc_id,
-                    sentence_index=fact.sentence_index,
-                    canonical_predicate=fact.canonical_predicate,
-                )
-            )
+        out.facts = [fact.copy() for fact in self.facts]
         out._fact_keys = set(self._fact_keys)
-        for cluster_id, emerging in self.emerging.items():
-            out.emerging[cluster_id] = EmergingEntity(
-                cluster_id=emerging.cluster_id,
-                display_name=emerging.display_name,
-                mentions=list(emerging.mentions),
-                guessed_type=emerging.guessed_type,
-            )
+        out.emerging = {
+            cluster_id: emerging.copy()
+            for cluster_id, emerging in self.emerging.items()
+        }
         out.entity_mentions = {
             eid: set(mentions) for eid, mentions in self.entity_mentions.items()
         }
@@ -357,16 +368,29 @@ class KnowledgeBase:
         return kb
 
     def merge(self, other: "KnowledgeBase") -> None:
-        """Fold another KB (e.g. from a second document) into this one."""
+        """Fold another KB (e.g. from a second document) into this one.
+
+        ``other`` is only read: a new fact or emerging entity is adopted
+        as a copy and a duplicate raises the confidence of the row in
+        ``self``, so ``other`` may be shared — the pipeline merges
+        cached per-document fragments (``docs/PIPELINE.md``) — and
+        later merges into ``self`` never write through to it.
+        """
         for fact in other.facts:
-            self.add_fact(fact)
+            key = fact.key()
+            if key in self._fact_keys:
+                self._raise_confidence(key, fact.confidence)
+            else:
+                self._fact_keys.add(key)
+                self.facts.append(fact.copy())
         for cluster_id, emerging in other.emerging.items():
             if cluster_id not in self.emerging:
-                self.emerging[cluster_id] = emerging
+                self.emerging[cluster_id] = emerging.copy()
         for entity_id, mentions in other.entity_mentions.items():
             self.entity_mentions.setdefault(entity_id, set()).update(mentions)
         for entity_id, types in other.entity_types.items():
-            self.entity_types.setdefault(entity_id, list(types))
+            if entity_id not in self.entity_types:
+                self.entity_types[entity_id] = list(types)
 
 
 __all__ = [

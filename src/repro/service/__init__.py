@@ -11,9 +11,10 @@ serving deployment (see ``docs/ARCHITECTURE.md`` for the full map):
 - :mod:`repro.service.cache` — LRU/TTL query cache keyed on
   (normalized query, mode, algorithm, corpus_version);
 - :mod:`repro.service.stage_cache` — content-addressed caching of the
-  pipeline's *intermediate* stages (retrieval / NLP annotation /
-  clause extraction) under chained signatures, so overlapping queries
-  reuse each other's upstream work (see ``docs/PIPELINE.md``);
+  pipeline's stages (retrieval / NLP annotation / clause extraction /
+  per-document KB fragment) under chained signatures, so each
+  document's KB is built once, not once per query that retrieves it
+  (see ``docs/PIPELINE.md``);
 - :mod:`repro.service.kb_store` — persistent SQLite (WAL) store for
   built KBs with full provenance, TTL/size compaction, and a
   non-blocking ``try_load`` accessor for the event-loop fast path;

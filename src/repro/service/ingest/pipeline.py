@@ -4,11 +4,11 @@ One ingest runs in five steps, all on the caller's thread and
 serialized under a single ingest lock (concurrent *queries* keep
 flowing — only ingests queue behind each other):
 
-1. **process** — the document runs through the existing NLP +
-   extraction stages (stage-cached, so re-ingesting unchanged text is
-   nearly free and later queries that retrieve the document reuse the
-   annotation work) and the extracted KB fragment is mined for the
-   *touched-entity set*: repository entities mentioned, emerging
+1. **process** — the document's KB fragment comes from the same
+   stage-cached chain queries use (``QKBfly.document_fragment``), so
+   re-ingesting unchanged text is nearly free and the queries that
+   retrieve the document afterwards reuse the fragment; it is mined
+   for the *touched-entity set*: repository entities mentioned, emerging
    entities discovered, fact argument displays, and the document
    title, all normalized;
 2. **commit** — the session's search engine is rebuilt with the new
@@ -85,16 +85,13 @@ class IngestPipeline:
     def compute_touched(self, document: RealizedDocument) -> FrozenSet[str]:
         """The normalized entity names a document touches.
 
-        Runs the document through the stage-cached NLP + extraction +
-        graph stages and collects every name the fragment surfaces:
-        linked repository entities (canonical name + mention surfaces),
-        emerging entities, fact argument displays, and the title.
+        Takes the document's (stage-cached, shared, read-only) KB
+        fragment and collects every name it surfaces: linked repository
+        entities (canonical name + mention surfaces), emerging
+        entities, fact argument displays, and the title.
         """
         service = self._service
-        qkbfly = service.qkbfly
-        annotated, nlp_signature = qkbfly._nlp_stage(document)
-        clauses = qkbfly._extraction_stage(annotated, nlp_signature)
-        fragment, _, _ = qkbfly.process_document(annotated, clauses=clauses)
+        fragment = service.qkbfly.document_fragment(document)
         names: Set[str] = {document.title}
         repository = service.session.entity_repository
         for entity_id, mentions in fragment.entity_mentions.items():

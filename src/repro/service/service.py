@@ -15,8 +15,9 @@ including the session's ``corpus_version``, so advancing the corpus
 cache and the stale store rows. Below the result tiers, a
 :class:`~repro.service.stage_cache.StageCache` (installed on the
 shared session; ``ServiceConfig.stage_cache_enabled``) lets *distinct*
-queries that overlap in their retrieved documents reuse the expensive
-retrieval/NLP/extraction stage products — see ``docs/PIPELINE.md``.
+queries that overlap in their retrieved documents reuse the
+retrieval/NLP/extraction products and each document's finished KB
+fragment — see ``docs/PIPELINE.md``.
 
 Pipeline execution runs on the thread tier (inline on the request
 workers) or the process tier
@@ -41,7 +42,6 @@ own way, :meth:`QKBflyService._finish` turns it into the envelope.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from concurrent.futures import Future
@@ -107,22 +107,6 @@ from repro.service.stage_cache import (
     StageCache,
     StagePolicy,
 )
-
-
-def _config_digest(config: QKBflyConfig) -> str:
-    """Fingerprint of the result-shaping pipeline knobs beyond mode and
-    algorithm, so cache/store keys separate configs that produce
-    different KBs (parser, tau, triples_only, weights, ILP budget)."""
-    payload = "|".join(
-        (
-            config.parser,
-            f"{config.tau}",
-            str(config.triples_only),
-            ",".join(str(a) for a in config.weights.as_tuple()),
-            f"{config.ilp_time_budget}",
-        )
-    )
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass
@@ -485,7 +469,7 @@ class QKBflyService:
         # and the watch(entity) subscription registry.
         self.subscriptions = SubscriptionRegistry()
         self.ingest_pipeline = IngestPipeline(self)
-        self._config_digest = _config_digest(self.qkbfly.config)
+        self._config_digest = self.qkbfly.config_digest
         self.pipeline_runs = 0
         self.executor_switches = 0
         self.pool_resizes = 0
@@ -1675,6 +1659,9 @@ class QKBflyService:
             self.session.statistics = statistics
         if pattern_repository is not None:
             self.session.pattern_repository = pattern_repository
+        # Any piece may also have changed in place: every stage key and
+        # the version stamp below must see fresh fingerprints.
+        self.session.forget_fingerprints()
         # Rebuild the NER gazetteer snapshot and rebind the pipeline:
         # the session's nlp and QKBfly captured references to the old
         # corpus pieces at construction, and refresh_corpus with no
@@ -1693,10 +1680,10 @@ class QKBflyService:
             self.store.set_corpus_version(self.session.corpus_version)
         # Stage-cache hygiene after the version bump: retrieval entries
         # are keyed on the old corpus version, so they are unreachable
-        # dead weight — reclaim them. NLP/extract entries are keyed on
-        # document *content* (not the version), so annotations of
-        # unchanged documents deliberately survive the refresh; see
-        # docs/PIPELINE.md.
+        # dead weight — reclaim them. NLP/extract/fragment entries are
+        # keyed on document *content* and the fingerprints of what they
+        # were computed from (not the version), so whatever the refresh
+        # left valid deliberately survives it; see docs/PIPELINE.md.
         if self.session.stage_cache is not None:
             self.session.stage_cache.clear(STAGE_RETRIEVAL)
         # Worker processes bootstrapped from the *old* session pickle;

@@ -17,7 +17,18 @@ pipeline's *intermediate products* under content-addressed signatures
   keyed on the corpus version: a corpus bump that leaves a document's
   text unchanged leaves its annotation reusable;
 - **extract** — the per-sentence ClausIE clause lists, keyed on the
-  extractor version and the upstream NLP signature.
+  extractor version and the upstream NLP signature;
+- **fragment** — the :class:`~repro.kb.facts.KnowledgeBase` that
+  semantic graph → densification → canonicalization build from one
+  document, keyed on the upstream extract signature plus everything
+  else those stages read: mode, algorithm,
+  :meth:`QKBflyConfig.digest() <repro.core.qkbfly.QKBflyConfig.digest>`
+  and the pattern-repository and statistics fingerprints. The unit is
+  *one document × one config*: a query's answer is the ordered merge of
+  its documents' fragments, so two configs sharing a session never
+  cross-serve, and a fragment is built once however many queries
+  retrieve its document. (``algorithm="ilp"`` is never cached: the
+  solver stops on a wall-clock budget.)
 
 Each signature chains the stage name, the stage's configuration
 digest, and the upstream signature
@@ -26,15 +37,17 @@ downstream key — stale intermediates are unreachable by construction,
 and invalidation is garbage collection (LRU/TTL/byte pressure), not
 correctness.
 
-The downstream stages (semantic graph, densification,
-canonicalization) are deliberately *not* cached here: they depend on
-mode/algorithm/weights and are cheap relative to annotation, and their
-final product is what the query cache and KB store already hold.
+With annotation and extraction cached, the graph stages are 58 % of a
+cold build and NLP 28 % (``benchmarks/e2e``, traced), which is why the
+fragment — not just the annotation — is cached.
 
 Cached values are shared across queries and across the worker threads
 of one deployment, so consumers must treat them as **read-only** —
 the same contract the shared :class:`~repro.core.qkbfly.SessionState`
-already imposes (and the cross-query parity tests verify).
+already imposes (and the cross-query parity tests verify). For
+fragments that is :meth:`KnowledgeBase.merge
+<repro.kb.facts.KnowledgeBase.merge>`'s contract: it copies what it
+adopts.
 
 A :class:`StageCache` itself is not pickled (its entries may be large
 and are process-local); :meth:`StageCache.spec` captures its *policy*
@@ -53,14 +66,16 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-#: The cacheable upstream stages, in dataflow order.
+#: The cacheable stages, in dataflow order.
 STAGE_RETRIEVAL = "retrieval"
 STAGE_NLP = "nlp"
 STAGE_EXTRACT = "extract"
-STAGES = (STAGE_RETRIEVAL, STAGE_NLP, STAGE_EXTRACT)
+STAGE_FRAGMENT = "fragment"
+STAGES = (STAGE_RETRIEVAL, STAGE_NLP, STAGE_EXTRACT, STAGE_FRAGMENT)
 
 #: Default per-stage entry ceiling (documents are the unit for the
-#: nlp/extract stages, queries for retrieval).
+#: nlp/extract stages, document × config for fragment, queries for
+#: retrieval).
 DEFAULT_STAGE_ENTRIES = 512
 
 #: Default per-stage byte budget (64 MiB). Annotated documents are the
@@ -447,6 +462,7 @@ __all__ = [
     "DEFAULT_STAGE_ENTRIES",
     "STAGES",
     "STAGE_EXTRACT",
+    "STAGE_FRAGMENT",
     "STAGE_NLP",
     "STAGE_RETRIEVAL",
     "StageCache",

@@ -78,3 +78,21 @@ def service_session(tiny_world, background):
             tiny_world, background.documents
         ),
     )
+
+
+@pytest.fixture()
+def process_document_calls(monkeypatch):
+    """The doc id of every ``QKBfly.process_document`` call made while
+    the test runs — the graph stages' execution count, which the
+    fragment-stage fences are stated in."""
+    from repro.core.qkbfly import QKBfly
+
+    calls = []
+    original = QKBfly.process_document
+
+    def counted(self, annotated, *args, **kwargs):
+        calls.append(annotated.doc_id)
+        return original(self, annotated, *args, **kwargs)
+
+    monkeypatch.setattr(QKBfly, "process_document", counted)
+    return calls

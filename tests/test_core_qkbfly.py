@@ -89,6 +89,24 @@ class TestVariants:
         assert len(kb) > 0
 
 
+class TestConfigDigest:
+    def test_digest_is_the_persisted_store_key_column(self):
+        """``QKBflyConfig.digest()`` is written into every store row and
+        cache key: these two values are what deployed stores hold (they
+        were produced by ``service._config_digest`` before it moved)."""
+        assert QKBflyConfig().digest() == "7bc92c1e6f41"
+        assert (
+            QKBflyConfig(
+                parser="chart", tau=0.8, triples_only=True, ilp_time_budget=2.0
+            ).digest()
+            == "b4e9388e1d35"
+        )
+        # mode and algorithm are key columns of their own.
+        assert QKBflyConfig(mode="noun", algorithm="ilp").digest() == (
+            QKBflyConfig().digest()
+        )
+
+
 class TestQueryDriven:
     @pytest.fixture(scope="class")
     def system(self, tiny_world):
@@ -110,3 +128,63 @@ class TestQueryDriven:
     def test_no_engine_raises(self, qkbfly_system):
         with pytest.raises(RuntimeError):
             qkbfly_system.build_kb("anything")
+
+
+class TestFragmentStageParity:
+    """Oracle 1 across the config matrix: a build assembled from cached
+    per-document fragments equals a stage-cache-free ``build_kb``,
+    ``to_dict()`` for ``to_dict()`` — over a query sequence with exact
+    repeats, variants that share documents, and both channels, with
+    every config reading and writing the *same* stage cache."""
+
+    @pytest.fixture(scope="class")
+    def sessions(self, tiny_world, background):
+        from repro.core.qkbfly import SessionState
+        from repro.corpus.retrieval import SearchEngine
+        from repro.service.stage_cache import StageCache
+
+        engine = SearchEngine.from_world(tiny_world, background.documents)
+
+        def session(stage_cache):
+            return SessionState(
+                entity_repository=tiny_world.entity_repository,
+                pattern_repository=tiny_world.pattern_repository,
+                statistics=background.statistics,
+                search_engine=engine,
+                stage_cache=stage_cache,
+            )
+
+        return session(StageCache()), session(None)
+
+    @pytest.mark.parametrize("tau", [0.5, 0.8])
+    @pytest.mark.parametrize("triples_only", [False, True])
+    @pytest.mark.parametrize("mode", ["joint", "pipeline", "noun"])
+    def test_cached_build_equals_uncached(
+        self, sessions, mode, triples_only, tau
+    ):
+        cached_session, plain_session = sessions
+        config = QKBflyConfig(mode=mode, triples_only=triples_only, tau=tau)
+        cached = QKBfly.from_session(cached_session, config)
+        plain = QKBfly.from_session(plain_session, config)
+        entities = sorted(
+            cached_session.entity_repository.entities(),
+            key=lambda e: -e.prominence,
+        )
+        first, second = (e.canonical_name for e in entities[:2])
+        sequence = [
+            (first, "wikipedia"),
+            (f"{first} spouse", "wikipedia"),
+            (second, "wikipedia"),
+            (first, "news"),
+            (f"{second} award", "news"),
+            (first, "wikipedia"),
+        ]
+        before = cached_session.stage_cache.stats()["stages"].get(
+            "fragment", {"hits": 0}
+        )["hits"]
+        for query, source in sequence:
+            expected = plain.build_kb(query, source=source, num_documents=2)
+            actual = cached.build_kb(query, source=source, num_documents=2)
+            assert actual.to_dict() == expected.to_dict(), (query, source)
+        after = cached_session.stage_cache.stats()["stages"]["fragment"]
+        assert after["hits"] > before  # the sequence did reuse fragments

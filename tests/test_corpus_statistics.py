@@ -3,7 +3,7 @@
 import pytest
 
 from repro.corpus.retrieval import Bm25Index, SearchEngine
-from repro.corpus.statistics import content_tokens
+from repro.corpus.statistics import content_tokens, document_tokens
 
 
 class TestStatistics:
@@ -90,3 +90,84 @@ class TestSearchEngine:
     def test_unknown_source(self, engine):
         with pytest.raises(ValueError):
             engine.search("x", source="intranet")
+
+
+class TestDocumentTokens:
+    """One tokenisation per document, shared by the statistics pass and
+    every search-engine build."""
+
+    @pytest.fixture()
+    def tokenized(self, monkeypatch):
+        """Every string handed to the tokenizer, in call order."""
+        import repro.nlp.tokenizer as tokenizer
+
+        seen = []
+        original = tokenizer.tokenize
+
+        def recording(text, *args, **kwargs):
+            seen.append(text)
+            return original(text, *args, **kwargs)
+
+        monkeypatch.setattr(tokenizer, "tokenize", recording)
+        return seen
+
+    def test_memo_is_validated_against_the_text(self, realizer, tiny_world):
+        doc = realizer.wikipedia_article(
+            tiny_world.person_ids_by_profession["ACTOR"][0]
+        )
+        first = document_tokens(doc)
+        assert first == content_tokens(doc.text)
+        assert document_tokens(doc) is first  # memoised, shared
+        assert document_tokens(doc, "title") == content_tokens(doc.title)
+        # RealizedDocument is mutable: an in-place edit must be noticed.
+        doc.sentences.append("Zanzibar exports cloves.")
+        assert "zanzibar" in document_tokens(doc)
+        assert document_tokens(doc) == content_tokens(doc.text)
+
+    def test_memo_stays_out_of_the_pickle(self, realizer, tiny_world):
+        import pickle
+
+        doc = realizer.wikipedia_article(
+            tiny_world.person_ids_by_profession["ACTOR"][1]
+        )
+        bare = len(pickle.dumps(doc))
+        document_tokens(doc)
+        document_tokens(doc, "title")
+        assert len(pickle.dumps(doc)) == bare
+        assert pickle.loads(pickle.dumps(doc)) == doc
+
+    def test_from_world_tokenises_each_document_text_once(self, tokenized):
+        from repro.core.qkbfly import SessionState
+        from repro.corpus.world import World, WorldConfig
+
+        session = SessionState.from_world(World(WorldConfig.tiny(), seed=11))
+        engine = session.search_engine
+        texts = [
+            doc.text
+            for table in (engine.wikipedia_docs, engine.news_docs)
+            for doc in table.values()
+        ]
+        assert len(set(texts)) == len(texts)
+        # The statistics pass and the engine build read the same
+        # background articles: one call per document, not two.
+        assert sorted(t for t in tokenized if t in set(texts)) == sorted(texts)
+
+    def test_engine_rebuild_tokenises_only_the_new_document(
+        self, tiny_world, background, tokenized
+    ):
+        from repro.service.ingest.pipeline import IngestPipeline
+        from repro.corpus.realizer import RealizedDocument
+
+        engine = SearchEngine.from_world(tiny_world, background.documents)
+        del tokenized[:]
+        added = RealizedDocument(
+            doc_id="live-1", title="Live one", sentences=["A merger was announced."],
+            emitted=[], mentions=[], source="news",
+        )
+        rebuilt = IngestPipeline._engine_with(engine, added)
+        assert tokenized == ["Live one", "A merger was announced."]
+        assert len(rebuilt.news_docs) == len(engine.news_docs) + 1
+        query = next(iter(engine.wikipedia_docs.values())).title
+        assert [d.doc_id for d in rebuilt.search(query, k=3)] == [
+            d.doc_id for d in engine.search(query, k=3)
+        ]

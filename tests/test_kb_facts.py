@@ -113,3 +113,64 @@ class TestKnowledgeBase:
         a.merge(b)
         assert len(a) == 2
         assert "Pitt" in a.entity_mentions["E1"]
+
+    def test_merge_copies_what_it_adopts(self):
+        """``merge`` only reads ``other``: the pipeline merges cached,
+        shared per-document fragments (docs/PIPELINE.md), so neither a
+        later merge into the result nor a mutation of either side may
+        reach the other. At the parent of this test ``merge`` adopted
+        rows by reference and ``a.merge(b); a.merge(c)`` with a
+        duplicate in ``c`` raised the confidence of a row owned by
+        ``b``."""
+        def fragment_b():
+            b = KnowledgeBase()
+            b.add_fact(make_fact(confidence=0.6, doc_id="b"))
+            b.add_fact(make_fact(pred="divorced_from", confidence=0.7, doc_id="b"))
+            b.add_emerging(EmergingEntity("b#new0", "Jessica Leeds", ["Leeds"]))
+            b.observe_mention("E1", "Pitt")
+            b.set_entity_types("E1", ["ACTOR", "PERSON"])
+            return b
+
+        def fragment_c():
+            c = KnowledgeBase()
+            c.add_fact(make_fact(confidence=0.9, doc_id="c"))  # duplicate of b's
+            c.add_emerging(EmergingEntity("b#new0", "shadowed", ["x"]))
+            c.observe_mention("E1", "Brad")
+            c.set_entity_types("E1", ["shadowed"])
+            return c
+
+        b, c = fragment_b(), fragment_c()
+        merged = KnowledgeBase()
+        merged.merge(b)
+        merged.merge(c)
+
+        # The fold itself is the parent's: first occurrence wins, a
+        # duplicate only raises the kept row's confidence.
+        reference = fragment_b()
+        for fact in fragment_c().facts:
+            reference.add_fact(fact)
+        reference.observe_mention("E1", "Brad")
+        assert merged.to_dict() == reference.to_dict()
+        assert merged.facts[0].confidence == 0.9 and merged.facts[0].doc_id == "b"
+
+        # ... and neither input was written to.
+        assert b.to_dict() == fragment_b().to_dict()
+        assert c.to_dict() == fragment_c().to_dict()
+
+        # Mutating the result leaves the inputs alone,
+        merged.facts[1].confidence = 0.0
+        merged.facts[1].objects.append(entity("E7", "extra"))
+        merged.emerging["b#new0"].mentions.append("extra")
+        merged.entity_mentions["E1"].add("extra")
+        merged.entity_types["E1"].append("extra")
+        assert b.to_dict() == fragment_b().to_dict()
+        # and mutating an input leaves the result alone.
+        fresh = KnowledgeBase()
+        fresh.merge(b)
+        snapshot = fresh.to_dict()
+        b.facts[0].confidence = 0.0
+        b.facts[0].objects.append(entity("E7", "extra"))
+        b.emerging["b#new0"].mentions.append("extra")
+        b.entity_mentions["E1"].add("extra")
+        b.entity_types["E1"].append("extra")
+        assert fresh.to_dict() == snapshot

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.core.qkbfly import SessionState
+from repro.core.qkbfly import QKBfly, QKBflyConfig, SessionState
 from repro.corpus.realizer import RealizedDocument
 from repro.corpus.retrieval import SearchEngine
 from repro.service.api import (
@@ -291,6 +291,130 @@ def test_stage_cache_only_rotates_touched_retrieval_entries(
         for stage, entries in nlp_before.items():
             assert after[stage]["entries"] >= entries
         assert after["retrieval"]["discarded"] >= 1
+    finally:
+        service.close()
+
+
+def test_ingest_builds_the_fragment_queries_then_reuse(
+    tiny_world, background, process_document_calls
+):
+    """``compute_touched`` goes through the fragment stage: the forced
+    re-query of a just-ingested document, and a re-ingest of unchanged
+    text, find the fragment instead of rebuilding it."""
+    session = _fresh_session(tiny_world, background)
+    service = _service(session, num_documents=2)
+    try:
+        target, other = _top_queries(session, 2)
+        service.serve(QueryRequest(query=target, source="news"))
+        calls = process_document_calls
+        del calls[:]  # the warm-up serve above
+        request = IngestRequest(
+            doc_id="live-1",
+            title=target,
+            text=f"{target} announced a merger with {other}.",
+        )
+        service.ingest(request)
+        assert calls == ["live-1"]
+        requeried = service.serve(QueryRequest(query=target, source="news"))
+        assert requeried.served_from == "executor"
+        retrieved = session.search_engine.search(target, source="news", k=2)
+        assert "live-1" in [document.doc_id for document in retrieved]
+        service.ingest(request)  # unchanged text: old and new revision
+        assert calls == ["live-1"]
+    finally:
+        service.close()
+
+
+def test_ingest_cycle_recomputes_no_static_fingerprint(
+    tiny_world, background, monkeypatch
+):
+    """An ingest rebinds a fresh ``QKBfly`` over the *same* repository
+    objects: the millisecond-scale fingerprints behind the stage keys
+    are memoised on the session and survive the rebind (1 entity-
+    repository recompute per cycle at the parent of this test)."""
+    from repro.corpus.statistics import BackgroundStatistics
+    from repro.kb.entity_repository import EntityRepository
+    from repro.kb.pattern_repository import PatternRepository
+
+    session = _fresh_session(tiny_world, background)
+    service = _service(session)
+    try:
+        target, other = _top_queries(session, 2)
+        service.serve(QueryRequest(query=target, source="news"))
+        calls: List[str] = []
+        for owner in (EntityRepository, BackgroundStatistics, PatternRepository):
+            original = owner.fingerprint
+
+            def counted(self, _original=original, _name=owner.__name__):
+                calls.append(_name)
+                return _original(self)
+
+            monkeypatch.setattr(owner, "fingerprint", counted)
+        for cycle in range(3):
+            service.ingest(
+                IngestRequest(
+                    doc_id=f"live-{cycle}",
+                    text=f"{target} met {other} at a conference.",
+                )
+            )
+            rebuilt = service.serve(QueryRequest(query=target, source="news"))
+            assert rebuilt.served_from == "executor"
+        assert calls == []
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [QKBflyConfig(), QKBflyConfig(mode="pipeline", triples_only=True, tau=0.6)],
+    ids=["default", "pipeline-triples"],
+)
+def test_replacing_a_retrieved_document_serves_the_fresh_build(
+    tiny_world, background, config
+):
+    """Bit-identity across an ingest: once a retrieved document is
+    replaced, the served KB equals a stage-cache-free build over the
+    corpus as it now is — the replaced document's old fragment is
+    unreachable (its content is in the key), the untouched document's
+    is reused."""
+    session = _fresh_session(tiny_world, background)
+    service = QKBflyService(
+        session,
+        config=config,
+        service_config=ServiceConfig(num_documents=2, store_path=":memory:"),
+    )
+    try:
+        target, other = _top_queries(session, 2)
+        before = service.serve(QueryRequest(query=target)).kb.to_dict()
+        replaced = session.search_engine.search(target, k=2)[0]
+        service.ingest(
+            IngestRequest(
+                doc_id=replaced.doc_id,
+                title=replaced.title,
+                text=f"{target} announced a merger with {other}.",
+                source="wikipedia",
+            )
+        )
+        fragments = session.stage_cache.stats()["stages"]["fragment"]["hits"]
+        after = service.serve(QueryRequest(query=target))
+        assert after.served_from == "executor"
+        reference = QKBfly(
+            entity_repository=session.entity_repository,
+            pattern_repository=session.pattern_repository,
+            statistics=session.statistics,
+            search_engine=session.search_engine,
+            config=config,
+        )
+        assert reference.stage_cache is None
+        expected = reference.build_kb(target, num_documents=2).to_dict()
+        assert after.kb.to_dict() == expected
+        assert expected != before
+        # Both documents of the rebuild came from the fragment stage:
+        # the new revision's was put there by the ingest itself.
+        assert (
+            session.stage_cache.stats()["stages"]["fragment"]["hits"]
+            == fragments + 2
+        )
     finally:
         service.close()
 

@@ -13,7 +13,12 @@ Three layers of coverage:
    entries keep hitting for unchanged documents);
 3. concurrency — a hammer over one small cache must never corrupt the
    LRU bookkeeping (the cache is shared by every worker thread of a
-   deployment).
+   deployment);
+4. the fragment stage — each document's KB is built once per config,
+   not once per query that retrieves it: the exact count fence, config
+   isolation, no write-through from a served KB to a cached fragment,
+   the ILP bypass, and a statistics swap making old fragments
+   unreachable.
 """
 
 from __future__ import annotations
@@ -23,10 +28,15 @@ import threading
 
 import pytest
 
-from repro.core.qkbfly import QKBfly, SessionState
+from repro.core.qkbfly import QKBfly, QKBflyConfig, SessionState
 from repro.corpus.retrieval import SearchEngine
+from repro.corpus.statistics import compute_statistics
+from repro.corpus.world import World, WorldConfig
+from repro.service.api import QueryRequest
+from repro.service.service import QKBflyService, ServiceConfig
 from repro.service.stage_cache import (
     STAGE_EXTRACT,
+    STAGE_FRAGMENT,
     STAGE_NLP,
     STAGE_RETRIEVAL,
     StageCache,
@@ -285,6 +295,201 @@ def test_retrieval_entries_resolve_against_live_search(stage_session):
     qkbfly.build_kb(name)
     after = stage_session.stage_cache.stats()["stages"][STAGE_RETRIEVAL]
     assert after["hits"] == 1
+
+
+# ---- the fragment stage ----------------------------------------------------
+
+
+def test_fragment_count_fence_on_the_overlap_variants_op_list(
+    process_document_calls,
+):
+    """ROADMAP item 2's first fence, exact: the reference world has 240
+    documents, so however many queries retrieve them the graph stages
+    run at most 240 times — and not at all for the 1 600 variant
+    queries once every base name has been served (3 139 at the parent
+    of this test)."""
+    calls = process_document_calls
+    session = SessionState.from_world(World(WorldConfig(), seed=7))
+    session.stage_cache = StageCache()
+    qkbfly = QKBfly.from_session(session)
+    names = _query_names(session, len(session.entity_repository.entities()))
+    channels = ("wikipedia", "news")
+    for name in names:
+        for channel in channels:
+            qkbfly.build_kb(name, source=channel, num_documents=2)
+    after_base = len(calls)
+    variants = [
+        (f"{name} {suffix}", channel)
+        for name in names
+        for suffix in ("spouse", "born", "award", "founded")
+        for channel in channels
+    ]
+    assert len(variants) == 1600
+    for query, channel in variants:
+        qkbfly.build_kb(query, source=channel, num_documents=2)
+    assert len(calls) == after_base  # 0 in the variant window
+    assert len(calls) == len(set(calls)) <= 240  # once per document
+    stats = session.stage_cache.stats()["stages"][STAGE_FRAGMENT]
+    assert stats["puts"] == stats["misses"] == len(calls)
+    assert stats["evictions"] == 0
+
+
+def test_two_configs_over_one_session_never_share_fragments(
+    stage_session, process_document_calls
+):
+    name = _query_names(stage_session, 1)[0]
+    configs = [
+        QKBflyConfig(),
+        QKBflyConfig(tau=0.9),
+        QKBflyConfig(triples_only=True),
+        QKBflyConfig(mode="noun"),
+    ]
+    stage_session.stage_cache = None
+    expected = [
+        QKBfly.from_session(stage_session, config)
+        .build_kb(name, num_documents=2)
+        .to_dict()
+        for config in configs
+    ]
+    stage_session.stage_cache = StageCache()
+    del process_document_calls[:]  # the reference builds above
+    for _ in range(2):
+        actual = [
+            QKBfly.from_session(stage_session, config)
+            .build_kb(name, num_documents=2)
+            .to_dict()
+            for config in configs
+        ]
+        assert actual == expected
+    stats = stage_session.stage_cache.stats()["stages"]
+    # Every config built its own fragments (the first pass never hit)
+    # while all four shared one annotation and one extraction.
+    documents = stats[STAGE_NLP]["puts"]
+    assert (
+        len(process_document_calls)
+        == stats[STAGE_FRAGMENT]["puts"]
+        == 4 * documents
+    )
+    assert stats[STAGE_FRAGMENT]["hits"] == 4 * documents
+    assert stats[STAGE_EXTRACT]["puts"] == documents
+
+
+def test_served_kb_never_writes_through_to_a_cached_fragment(stage_session):
+    stage_session.stage_cache = StageCache()
+    qkbfly = QKBfly.from_session(stage_session)
+    name = _query_names(stage_session, 1)[0]
+    first = qkbfly.build_kb(name, num_documents=2)
+    assert stage_session.stage_cache.stats()["stages"][STAGE_FRAGMENT]["puts"] == 2
+    expected = first.to_dict()
+    for fact in first.facts:
+        fact.confidence = 0.0
+        fact.objects.clear()
+    for emerging in first.emerging.values():
+        emerging.mentions.append("scribble")
+    for mentions in first.entity_mentions.values():
+        mentions.add("scribble")
+    for types in first.entity_types.values():
+        types.append("scribble")
+    first.merge(qkbfly.build_kb(_query_names(stage_session, 2)[1]))
+    assert qkbfly.build_kb(name, num_documents=2).to_dict() == expected
+
+
+def test_ilp_builds_bypass_the_fragment_stage(stage_session):
+    """The ILP solver stops on a wall-clock budget: its fragment is not
+    a function of the document alone, so it is never cached."""
+    stage_session.stage_cache = StageCache()
+    qkbfly = QKBfly.from_session(
+        stage_session, QKBflyConfig(algorithm="ilp", ilp_time_budget=2.0)
+    )
+    name = _query_names(stage_session, 1)[0]
+    assert qkbfly.build_kb(name).to_dict() == qkbfly.build_kb(name).to_dict()
+    stats = stage_session.stage_cache.stats()["stages"]
+    assert stats[STAGE_EXTRACT]["hits"] == 1  # upstream still cached
+    assert stats.get(STAGE_FRAGMENT, {}).get("puts", 0) == 0
+
+
+def test_refresh_with_new_statistics_makes_old_fragments_unreachable(
+    tiny_world, background, stage_session
+):
+    """The fragment key carries the statistics fingerprint: after
+    ``refresh_corpus(statistics=...)`` every answer equals a
+    stage-cache-free build over the new statistics, while annotation
+    and extraction (which never read them) keep hitting."""
+    service = QKBflyService(
+        stage_session, service_config=ServiceConfig(num_documents=2)
+    )
+    names = _query_names(stage_session, 2)
+    with service:
+        for name in names:
+            service.serve(QueryRequest(query=name))
+        before = service.stats()["stage_cache"]["stages"]
+        thinner = compute_statistics(
+            tiny_world, background.documents[: len(background.documents) // 2]
+        )
+        service.refresh_corpus(statistics=thinner)
+        served = [
+            service.serve(QueryRequest(query=name)).kb.to_dict()
+            for name in names
+        ]
+        after = service.stats()["stage_cache"]["stages"]
+    reference = QKBfly(
+        entity_repository=stage_session.entity_repository,
+        pattern_repository=stage_session.pattern_repository,
+        statistics=thinner,
+        search_engine=stage_session.search_engine,
+    )
+    assert served == [
+        reference.build_kb(name, num_documents=2).to_dict() for name in names
+    ]
+    assert after[STAGE_FRAGMENT]["hits"] == before[STAGE_FRAGMENT]["hits"]
+    assert after[STAGE_FRAGMENT]["misses"] > before[STAGE_FRAGMENT]["misses"]
+    assert after[STAGE_NLP]["misses"] == before[STAGE_NLP]["misses"]
+
+
+def test_in_place_mutation_announced_by_refresh_rotates_fragment_keys(
+    stage_session,
+):
+    """Static fingerprints are memoised on the session; ``refresh_corpus``
+    with no arguments announces an in-place change and must drop them."""
+    import copy
+
+    stage_session.statistics = copy.deepcopy(stage_session.statistics)
+    service = QKBflyService(stage_session, service_config=ServiceConfig())
+    name = _query_names(stage_session, 1)[0]
+    with service:
+        service.serve(QueryRequest(query=name))
+        version = stage_session.corpus_version
+        memoised = stage_session.fingerprint_of(stage_session.statistics)
+        stage_session.statistics.num_docs += 1000
+        assert stage_session.fingerprint_of(stage_session.statistics) == memoised
+        assert service.refresh_corpus() != version
+        assert stage_session.fingerprint_of(stage_session.statistics) != memoised
+        served = service.serve(QueryRequest(query=name))
+        stats = service.stats()["stage_cache"]["stages"]
+    assert served.served_from == "executor"
+    assert stats[STAGE_FRAGMENT]["hits"] == 0
+    assert stats[STAGE_FRAGMENT]["misses"] == 2
+    assert stats[STAGE_NLP]["hits"] == 1  # annotation never read them
+
+
+def test_fragment_stage_stats_block_and_policy_override(stage_session):
+    service = QKBflyService(
+        stage_session,
+        service_config=ServiceConfig(
+            stage_cache_policies={STAGE_FRAGMENT: StagePolicy(max_entries=1)}
+        ),
+    )
+    with service:
+        for name in _query_names(stage_session, 3):
+            service.serve(QueryRequest(query=name))
+            service.serve(QueryRequest(query=f"{name} spouse"))
+        block = service.stats()["stage_cache"]["stages"][STAGE_FRAGMENT]
+    assert block["max_entries"] == 1 and block["entries"] == 1
+    assert block["misses"] == block["puts"] == 3
+    assert block["hits"] == 3  # each variant re-read its base's document
+    assert block["evictions"] == 2
+    # Sized from the fragment's counts, not by pickling it.
+    assert 0 < block["bytes"] < 64 * 1024
 
 
 # ---- concurrency -----------------------------------------------------------
