@@ -47,7 +47,7 @@ async def client(service: AsyncQKBflyService, name: str, query: str):
 
 async def main() -> None:
     world = build_world(seed=7)
-    config = ServiceConfig(max_workers=4, executor="auto")
+    config = ServiceConfig(max_workers=4)
     async with AsyncQKBflyService.from_world(
         world, service_config=config
     ) as service:

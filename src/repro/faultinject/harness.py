@@ -288,8 +288,8 @@ def _run_phases(
         asyncio.run(async_phase())
 
         # Phase 4: pool churn through the autoscale path.
-        guarded(service._switch_executor, None, 3)
-        guarded(service._switch_executor, None, 2)
+        guarded(service._resize_pools, 3)
+        guarded(service._resize_pools, 2)
         for client in ("alice", "bob"):
             serve(client, queries[0])
     finally:

@@ -72,8 +72,8 @@ CATALOG: Dict[str, Tuple[str, ...]] = {
     # context carries the executor so kill_worker can SIGKILL a live
     # pool worker mid-deployment.
     "process_executor.submit": (KIND_KILL_WORKER, KIND_DELAY),
-    # QKBflyService._switch_executor: decision taken, swap/resize not
-    # yet applied (under the autoscale lock).
+    # QKBflyService._resize_pools: decision taken, resize not yet
+    # applied (under the autoscale lock).
     "service.switch_executor": (KIND_CRASH, KIND_DELAY),
     # QKBflyService.close: marked closed, pools not yet shut down.
     "service.close": (KIND_DELAY,),

@@ -27,10 +27,9 @@ serving deployment (see ``docs/ARCHITECTURE.md`` for the full map):
   single-flight deduplication over shared session state;
 - :mod:`repro.service.process_executor` — the same pipeline stages on
   a multiprocessing pool, escaping the GIL for distinct-query traffic;
-- :mod:`repro.service.autoscale` — the autoscaler behind
-  ``ServiceConfig(executor="auto")``: thread-vs-process tier choice
-  (startup from the CPU count, runtime from the observed traffic) and
-  queue-fed worker-pool sizing with hysteresis;
+- :mod:`repro.service.autoscale` — queue-fed worker-pool sizing with
+  hysteresis, enabled by ``ServiceConfig(autoscale_policy=...)`` (the
+  thread-vs-process tier itself is fixed by ``ServiceConfig.executor``);
 - :mod:`repro.service.admission` — per-client token-bucket rate
   limiting, per-client *cost* budgeting (pipeline-seconds, with a
   per-shape p95 admit-time estimator), and global queue-depth load
@@ -84,8 +83,7 @@ from repro.service.api import (
 from repro.service.async_service import AsyncQKBflyService
 from repro.service.autoscale import (
     AutoscalePolicy,
-    ExecutorSelector,
-    observed_cpu_count,
+    PoolSizer,
 )
 from repro.service.cache import CacheKey, QueryCache, normalize_query
 from repro.service.executor import BatchExecutor
@@ -137,7 +135,6 @@ __all__ = [
     "DeadlineUnmet",
     "EntityVersionVector",
     "EntrySignature",
-    "ExecutorSelector",
     "Fabric",
     "FactSearchRequest",
     "FactSearchResult",
@@ -151,6 +148,7 @@ __all__ = [
     "PipelineFailure",
     "PipelineRequest",
     "PipelineResponse",
+    "PoolSizer",
     "ProcessBatchExecutor",
     "QKBflyService",
     "QueryCache",
@@ -177,7 +175,6 @@ __all__ = [
     "ingest_cost_shape",
     "normalize_entity",
     "normalize_query",
-    "observed_cpu_count",
     "parse_search_query",
     "query_touches",
     "rebuild_index",

@@ -111,7 +111,7 @@ class QueueWaitWindow:
 
     The window is owned by the *service*, not by any executor: a live
     pool swap or resize (:meth:`~repro.service.service.QKBflyService.
-    _switch_executor`) replaces the pool but keeps feeding the same
+    _resize_pools`) replaces the pool but keeps feeding the same
     window, so the wait distribution survives autoscaling events.
 
     Args:

@@ -84,7 +84,7 @@ class AsyncQKBflyService:
         own_service: Whether :meth:`aclose` also closes ``service``.
         dispatch_workers: Threads in the pool that runs the blocking
             calls (``ingest``, ``search_*``, ``watch``, long-polls and
-            autoscale swaps) off the loop. Queries never occupy one:
+            autoscale resizes) off the loop. Queries never occupy one:
             a cold query awaits its executor flight directly.
             Defaults to the service's ``max_workers``.
     """
@@ -233,11 +233,11 @@ class AsyncQKBflyService:
                 result = sync._finish(
                     request, key, started, outcome, on_loop=True
                 )
-                if sync._selector is not None and not self._closed:
-                    # Requests are recorded on the loop; the pool swap
-                    # those observations may call for (a process
-                    # bootstrap takes hundreds of milliseconds) is
-                    # applied off it, fire-and-forget.
+                if sync._sizer is not None and not self._closed:
+                    # The pool resize a cold flight may call for (a
+                    # process bootstrap takes hundreds of
+                    # milliseconds) is decided and applied off the
+                    # loop, fire-and-forget.
                     self._dispatch_pool.submit(sync.autoscale_tick)
         except BaseException:
             # Measured cost unknown (shed, deadline, pipeline failure):

@@ -1,90 +1,39 @@
-"""Runtime executor autoscaling: tier selection and pool sizing.
+"""Runtime pool sizing for the serving layer's worker pools.
 
-The serving layer has two execution tiers with opposite sweet spots
-(see :mod:`repro.service.process_executor`): the thread tier wins on
-repeat-heavy traffic (dedup and the cache absorb the work, and no IPC
-is paid) and on single-core hosts (where a process pool can only add
-overhead), while the process tier wins when concurrent **distinct**
-queries must actually run the CPU-bound pipeline and the host has cores
-to parallelize them across. Which regime a deployment is in is a
-property of its *traffic*, not its configuration — so instead of asking
-operators to guess, :class:`ExecutorSelector` observes it:
+The execution *tier* (thread vs process, see
+:mod:`repro.service.process_executor`) is a construction-time choice
+(``ServiceConfig.executor``); what may move at run time is the pool's
+*width*. :class:`PoolSizer` decides it (:meth:`PoolSizer.
+decide_pool_size`): fed the executor's live ``pending`` depth (the
+distinct computations currently in flight — see
+:attr:`~repro.service.executor.BatchExecutor.pending` /
+:attr:`~repro.service.process_executor.ProcessBatchExecutor.pending`)
+and the measured queue-wait distribution
+(:class:`~repro.service.admission.QueueWaitWindow`), it recommends
+growing the worker pool while work is genuinely backing up and
+shrinking it once the backlog is gone — with a hysteresis band (grow
+and shrink thresholds far apart) and a cooldown, so a bursty minute
+cannot see-saw the pool.
 
-- at **startup** it picks a tier from the observed CPU count alone
-  (processes can never win on one core);
-- at **runtime** it watches a sliding window of recent requests — the
-  *distinct-query ratio* (how much of the traffic is dedupable repeats)
-  and the *per-request latency* (whether requests are actually
-  pipeline-bound rather than served from cache) — and recommends
-  switching tier when the traffic crosses the policy thresholds, with
-  hysteresis (two thresholds plus a cooldown) so oscillating traffic
-  does not thrash the pool;
-- also at runtime, it **sizes the pool** (:meth:`ExecutorSelector.
-  decide_pool_size`): fed the executor's live ``pending`` depth (the
-  distinct computations currently in flight — see
-  :attr:`~repro.service.executor.BatchExecutor.pending` /
-  :attr:`~repro.service.process_executor.ProcessBatchExecutor.pending`)
-  and the measured queue-wait distribution
-  (:class:`~repro.service.admission.QueueWaitWindow`), it recommends
-  growing the worker pool while work is genuinely backing up and
-  shrinking it once the backlog is gone — again with a hysteresis band
-  (grow and shrink thresholds far apart) and its own cooldown, so a
-  bursty minute cannot see-saw the pool.
-
-The selector only *recommends*; :class:`~repro.service.service.
-QKBflyService` (with ``ServiceConfig(executor="auto")``) performs the
-actual pool swap or resize. All methods are thread-safe and
-non-blocking, so the asyncio front end may record observations
-directly on the event loop.
+The sizer only *recommends*; :class:`~repro.service.service.
+QKBflyService` (with ``ServiceConfig(autoscale_policy=...)`` set)
+performs the actual resize. All methods are thread-safe and
+non-blocking.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple
-
-
-def observed_cpu_count() -> int:
-    """CPUs actually available to this process (affinity-aware).
-
-    ``os.cpu_count()`` reports the machine, not the cgroup/affinity
-    mask a container is pinned to; ``sched_getaffinity`` reflects what
-    the process can really use, which is what decides whether a process
-    pool can pay for its IPC.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux platforms
-        return os.cpu_count() or 1
+from typing import Any, Callable, Dict, Optional
 
 
 @dataclass
 class AutoscalePolicy:
-    """Thresholds governing :class:`ExecutorSelector` decisions.
+    """Thresholds governing :class:`PoolSizer` decisions.
 
     Attributes:
-        window: Number of recent requests the sliding window holds.
-        min_samples: No recommendation is made before this many
-            requests have been observed (a cold window has a
-            meaningless distinct ratio).
-        distinct_high: Window distinct-query ratio at or above which
-            traffic counts as distinct-heavy (favors processes).
-        distinct_low: Ratio at or below which traffic counts as
-            repeat-heavy (favors threads). Keeping ``distinct_low <
-            distinct_high`` creates the hysteresis band in between,
-            where the current tier is kept.
-        min_pipeline_ms: Mean per-request latency floor (milliseconds)
-            for a switch *to* processes: distinct-but-cheap traffic
-            (store hits, trivial queries) gains nothing from a pool.
-        cooldown_seconds: Minimum time between recommended switches —
-            pool construction is expensive (process bootstrap pickles
-            the session), so decisions are rate-limited.
-        min_cpus_for_process: Hosts with fewer usable CPUs than this
-            are pinned to the thread tier outright.
         pool_min_workers: Floor on the recommended pool size — the
             pool never shrinks below this many workers.
         pool_max_workers: Ceiling on the recommended pool size — the
@@ -111,19 +60,11 @@ class AutoscalePolicy:
             cold start — does not block growth: backlog alone decides.)
         pool_step: Workers added or removed per resize decision.
         pool_cooldown_seconds: Minimum time between recommended
-            resizes — a resize retires and rebuilds worker pools, so
-            decisions are rate-limited independently of the tier
-            cooldown (sizing reacts on a faster timescale than tier
-            switching, hence the lower default).
+            resizes — a resize retires and rebuilds worker pools (a
+            process bootstrap pickles the session), so decisions are
+            rate-limited.
     """
 
-    window: int = 64
-    min_samples: int = 16
-    distinct_high: float = 0.5
-    distinct_low: float = 0.25
-    min_pipeline_ms: float = 1.0
-    cooldown_seconds: float = 30.0
-    min_cpus_for_process: int = 2
     pool_min_workers: int = 1
     pool_max_workers: int = 16
     pool_grow_backlog: float = 2.0
@@ -133,42 +74,20 @@ class AutoscalePolicy:
     pool_cooldown_seconds: float = 10.0
 
 
-class ExecutorSelector:
-    """Observe request traffic; recommend an execution tier and a pool
-    size.
-
-    Two independent control loops over one policy object:
-    :meth:`decide` picks thread-vs-process from the traffic window
-    (distinct ratio + latency), :meth:`decide_pool_size` grows or
-    shrinks the worker pool from the live queue state (pending depth +
-    measured waits). Each has its own hysteresis and cooldown, so a
-    tier switch and a resize can never feed back into each other
-    through shared rate limiting.
+class PoolSizer:
+    """Recommend a worker-pool size from the live queue state.
 
     Args:
-        policy: Decision thresholds (defaults are deliberately
-            conservative: switching needs sustained evidence).
-        cpu_count: Usable CPUs; defaults to :func:`observed_cpu_count`.
-            Injectable so tests can exercise multi-core policy on any
-            host.
+        policy: Decision thresholds.
         clock: Monotonic time source, injectable for cooldown tests.
     """
 
     def __init__(
         self,
-        policy: Optional[AutoscalePolicy] = None,
-        cpu_count: Optional[int] = None,
+        policy: AutoscalePolicy,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.policy = policy or AutoscalePolicy()
-        if self.policy.window <= 0:
-            raise ValueError("window must be positive")
-        if self.policy.min_samples > self.policy.window:
-            # The window can never hold min_samples entries, so decide()
-            # would silently never switch — refuse the dead policy.
-            raise ValueError("min_samples must not exceed window")
-        if not self.policy.distinct_low <= self.policy.distinct_high:
-            raise ValueError("distinct_low must not exceed distinct_high")
+        self.policy = policy
         if self.policy.pool_min_workers < 1:
             raise ValueError("pool_min_workers must be at least 1")
         if self.policy.pool_max_workers < self.policy.pool_min_workers:
@@ -183,138 +102,10 @@ class ExecutorSelector:
             )
         if self.policy.pool_step < 1:
             raise ValueError("pool_step must be at least 1")
-        self.cpu_count = (
-            cpu_count if cpu_count is not None else observed_cpu_count()
-        )
         self._clock = clock
         self._lock = threading.Lock()
-        self._window: Deque[Tuple[Hashable, float]] = deque(
-            maxlen=self.policy.window
-        )
-        self._last_switch_at: Optional[float] = None
         self._last_resize_at: Optional[float] = None
-        self.pinned_thread_reason: Optional[str] = None
-        self.recorded = 0
-        self.switches_recommended = 0
         self.resizes_recommended = 0
-
-    def pin_to_thread(self, reason: str) -> None:
-        """Permanently rule out the process tier for this deployment.
-
-        Called when a process pool turned out to be *unavailable* (the
-        session cannot be pickled, no multiprocessing support): without
-        the pin, every cooldown expiry under distinct-heavy traffic
-        would re-recommend the impossible switch, re-attempt the
-        pickle, and churn a fresh fallback pool. ``reason`` is surfaced
-        via :meth:`stats`.
-        """
-        with self._lock:
-            self.pinned_thread_reason = reason
-
-    # ---- observation -------------------------------------------------------
-
-    def record(self, signature: Hashable, seconds: float) -> None:
-        """Add one served request to the sliding window.
-
-        ``signature`` identifies the request for the distinct-ratio
-        computation (the serving layer passes the cache key); it is
-        never interpreted beyond equality. Non-blocking (one lock'd
-        deque append), so the asyncio front end calls this directly on
-        the event loop.
-        """
-        with self._lock:
-            self._window.append((signature, seconds))
-            self.recorded += 1
-
-    def distinct_ratio(self) -> float:
-        """Distinct signatures over window size (1.0 for an empty window).
-
-        1.0 means every recent request was unique — dedup and the cache
-        cannot help, so pipeline execution dominates. Low values mean
-        the traffic repeats itself and the thread tier serves it from
-        cache/dedup without paying IPC.
-        """
-        with self._lock:
-            if not self._window:
-                return 1.0
-            distinct = len({signature for signature, _ in self._window})
-            return distinct / len(self._window)
-
-    def mean_latency_ms(self) -> float:
-        """Mean per-request latency over the window, in milliseconds."""
-        with self._lock:
-            if not self._window:
-                return 0.0
-            total = sum(seconds for _, seconds in self._window)
-            return total / len(self._window) * 1000.0
-
-    # ---- decisions ---------------------------------------------------------
-
-    def initial_kind(self) -> str:
-        """The tier to start on, from the CPU count alone.
-
-        Multi-core hosts start on the process tier: at startup nothing
-        is cached, so early traffic is pipeline-bound by construction
-        and the GIL is the binding constraint. Single-core hosts are
-        pinned to threads (IPC overhead can never be won back).
-        """
-        if self.cpu_count < self.policy.min_cpus_for_process:
-            return "thread"
-        return "process"
-
-    def decide(self, current_kind: str) -> Optional[str]:
-        """Recommend ``"thread"`` / ``"process"``, or None to stay put.
-
-        A non-None return also arms the cooldown, so callers should
-        treat it as a commitment and actually switch. The rules, in
-        order:
-
-        1. below ``min_cpus_for_process`` usable CPUs, always thread;
-        2. fewer than ``min_samples`` observations (or still cooling
-           down), no change;
-        3. distinct ratio >= ``distinct_high`` *and* mean latency >=
-           ``min_pipeline_ms``: recommend process;
-        4. distinct ratio <= ``distinct_low``: recommend thread;
-        5. otherwise (the hysteresis band): no change.
-        """
-        policy = self.policy
-        if (
-            self.cpu_count < policy.min_cpus_for_process
-            or self.pinned_thread_reason is not None
-        ):
-            return self._recommend("thread", current_kind, cooldown=False)
-        with self._lock:
-            samples = len(self._window)
-            if samples < policy.min_samples:
-                return None
-            now = self._clock()
-            if (
-                self._last_switch_at is not None
-                and now - self._last_switch_at < policy.cooldown_seconds
-            ):
-                return None
-            distinct = len({signature for signature, _ in self._window})
-            ratio = distinct / samples
-            mean_ms = (
-                sum(seconds for _, seconds in self._window) / samples * 1000.0
-            )
-        if ratio >= policy.distinct_high and mean_ms >= policy.min_pipeline_ms:
-            return self._recommend("process", current_kind)
-        if ratio <= policy.distinct_low:
-            return self._recommend("thread", current_kind)
-        return None
-
-    def _recommend(
-        self, kind: str, current_kind: str, cooldown: bool = True
-    ) -> Optional[str]:
-        """None when already on ``kind``; else stamp cooldown and return."""
-        if kind == current_kind:
-            return None
-        with self._lock:
-            if cooldown:
-                self._last_switch_at = self._clock()
-            self.switches_recommended += 1
-        return kind
 
     def decide_pool_size(
         self,
@@ -357,65 +148,65 @@ class ExecutorSelector:
         policy = self.policy
         if current_workers < 1:
             raise ValueError("current_workers must be positive")
-        # The wait percentile takes the window's own lock; read it
-        # before taking ours (nothing acquires them in the other
-        # order, but keeping the scopes disjoint makes that obvious).
-        wait_p95 = (
-            queue_wait.percentile(0.95)
-            if queue_wait is not None and len(queue_wait)
-            else None
-        )
         now = self._clock()
+        with self._lock:
+            # Cooldown first: the service asks on every cold request,
+            # and for pool_cooldown_seconds after a resize the answer
+            # is None whatever the queue looks like.
+            if self._cooling_down(now):
+                return None
+        target: Optional[int] = None
+        if (
+            pending >= current_workers * policy.pool_grow_backlog
+            and current_workers < policy.pool_max_workers
+        ):
+            # The wait percentile sorts the window under the window's
+            # own lock; read it outside ours (nothing acquires them in
+            # the other order, but keeping the scopes disjoint makes
+            # that obvious).
+            wait_p95 = (
+                queue_wait.percentile(0.95)
+                if queue_wait is not None and len(queue_wait)
+                else None
+            )
+            if wait_p95 is None or wait_p95 >= policy.pool_grow_wait_seconds:
+                target = min(
+                    policy.pool_max_workers,
+                    current_workers + policy.pool_step,
+                )
+        elif (
+            pending <= current_workers * policy.pool_shrink_backlog
+            and current_workers > policy.pool_min_workers
+        ):
+            target = max(
+                policy.pool_min_workers,
+                current_workers - policy.pool_step,
+            )
+        if target is None or target == current_workers:
+            return None
         with self._lock:
             # Check and stamp under one lock acquisition: two callers
             # racing past an expired cooldown must not both commit a
             # resize step inside the same window.
-            if (
-                self._last_resize_at is not None
-                and now - self._last_resize_at < policy.pool_cooldown_seconds
-            ):
-                return None
-            target: Optional[int] = None
-            if (
-                pending >= current_workers * policy.pool_grow_backlog
-                and current_workers < policy.pool_max_workers
-            ):
-                if (
-                    wait_p95 is None
-                    or wait_p95 >= policy.pool_grow_wait_seconds
-                ):
-                    target = min(
-                        policy.pool_max_workers,
-                        current_workers + policy.pool_step,
-                    )
-            elif (
-                pending <= current_workers * policy.pool_shrink_backlog
-                and current_workers > policy.pool_min_workers
-            ):
-                target = max(
-                    policy.pool_min_workers,
-                    current_workers - policy.pool_step,
-                )
-            if target is None or target == current_workers:
+            if self._cooling_down(now):
                 return None
             self._last_resize_at = now
             self.resizes_recommended += 1
         return target
 
+    def _cooling_down(self, now: float) -> bool:
+        """Inside ``pool_cooldown_seconds`` of the last resize (call
+        with the lock held)."""
+        return (
+            self._last_resize_at is not None
+            and now - self._last_resize_at < self.policy.pool_cooldown_seconds
+        )
+
     # ---- monitoring --------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Selector state for the service's monitoring surface."""
-        return {
-            "cpu_count": self.cpu_count,
-            "recorded": self.recorded,
-            "window_size": len(self._window),
-            "distinct_ratio": round(self.distinct_ratio(), 4),
-            "mean_latency_ms": round(self.mean_latency_ms(), 3),
-            "switches_recommended": self.switches_recommended,
-            "resizes_recommended": self.resizes_recommended,
-            "pinned_thread_reason": self.pinned_thread_reason,
-        }
+        """Sizer state for the service's monitoring surface."""
+        return {"resizes_recommended": self.resizes_recommended}
 
 
-__all__ = ["AutoscalePolicy", "ExecutorSelector", "observed_cpu_count"]
+__all__ = ["AutoscalePolicy", "PoolSizer"]

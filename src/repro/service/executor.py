@@ -85,7 +85,7 @@ class BatchExecutor:
         complete on the old pool (its already-submitted work keeps
         running under ``shutdown(wait=False)``) while new submissions
         land on the new one — the same publish-then-retire discipline
-        as the service's executor-tier swaps. Refused when the pool was
+        as the service's process-pool rebuilds. Refused when the pool was
         supplied externally (a process pool resizes by being rebuilt,
         which requires re-pickling the session — the owner's job).
         """
@@ -206,7 +206,7 @@ class BatchExecutor:
                     # A concurrent resize() retired the pool between
                     # the snapshot and the submit; retry on whatever
                     # pool is current (same discipline as the service's
-                    # pipeline-tier swap).
+                    # process-pool swap).
                     continue
                 with self._lock:
                     if self._in_flight.get(key) is shared:

@@ -166,8 +166,6 @@ class ProcessBatchExecutor:
             worker's bootstrap.
         config: Pipeline configuration for the workers (pickled along).
         max_workers: Pool size (processes, or threads after fallback).
-        mp_context: ``multiprocessing`` context or start-method name
-            (``"fork"``/``"spawn"``); None uses the platform default.
         force_threads: Skip processes entirely — lets deployments (and
             tests) pin the fallback path explicitly.
     """
@@ -177,7 +175,6 @@ class ProcessBatchExecutor:
         session: SessionState,
         config: Optional[QKBflyConfig] = None,
         max_workers: int = 2,
-        mp_context: Any = None,
         force_threads: bool = False,
     ) -> None:
         if max_workers <= 0:
@@ -198,13 +195,8 @@ class ProcessBatchExecutor:
                 self.fallback_reason = f"session not picklable: {error}"
             else:
                 try:
-                    if isinstance(mp_context, str):
-                        import multiprocessing
-
-                        mp_context = multiprocessing.get_context(mp_context)
                     pool = ProcessPoolExecutor(
                         max_workers=max_workers,
-                        mp_context=mp_context,
                         initializer=_bootstrap_worker,
                         initargs=(session_payload, config),
                     )

@@ -21,10 +21,11 @@ fragment — see ``docs/PIPELINE.md``.
 
 Pipeline execution runs on the thread tier (inline on the request
 workers) or the process tier
-(:class:`~repro.service.process_executor.ProcessBatchExecutor`);
-``ServiceConfig(executor="auto")`` delegates the choice to an
-:class:`~repro.service.autoscale.ExecutorSelector` that observes the
-live traffic and swaps tiers at runtime. The asyncio front end
+(:class:`~repro.service.process_executor.ProcessBatchExecutor`),
+chosen once by ``ServiceConfig.executor``; with
+``ServiceConfig.autoscale_policy`` set, a
+:class:`~repro.service.autoscale.PoolSizer` resizes the worker pools
+at runtime from the live queue state. The asyncio front end
 (:class:`~repro.service.async_service.AsyncQKBflyService`) layers on
 top of this facade and shares all of its tiers.
 
@@ -91,7 +92,7 @@ from repro.service.api import (
     invalid_request,
     wrap_failure,
 )
-from repro.service.autoscale import AutoscalePolicy, ExecutorSelector
+from repro.service.autoscale import AutoscalePolicy, PoolSizer
 from repro.service.cache import CacheKey, QueryCache
 from repro.service.executor import BatchExecutor
 from repro.service.fabric.cluster import Fabric
@@ -128,18 +129,16 @@ class ServiceConfig:
     # for repeat-heavy traffic: dedup + cache do the work); "process"
     # adds a multiprocessing pool for the CPU-bound pipeline stages so
     # concurrent *distinct* queries scale past the GIL on multi-core
-    # hosts (falls back to threads when the session cannot be pickled);
-    # "auto" lets an ExecutorSelector pick at startup from the observed
-    # CPU count and switch tiers at runtime from the traffic's
-    # distinct-query ratio and per-request latency.
+    # hosts (falls back to threads when the session cannot be pickled).
+    # Fixed for the service's lifetime: measure before choosing
+    # "process" (docs/OPERATIONS.md, "Execution tier").
     executor: str = "thread"
-    # Thresholds for executor="auto" (None uses AutoscalePolicy
-    # defaults); ignored on the fixed tiers.
+    # Runtime pool sizing on either tier: set to resize the worker
+    # pools from queue depth and measured waits (None keeps the width
+    # at max_workers).
     autoscale_policy: Optional[AutoscalePolicy] = None
-    # Pool size for executor="process" (defaults to max_workers), and
-    # an optional multiprocessing start method ("fork"/"spawn").
+    # Pool size for executor="process" (defaults to max_workers).
     process_workers: Optional[int] = None
-    process_start_method: Optional[str] = None
     # Refill the in-memory cache from the store on service start (up to
     # warm_limit entries, newest first; capped by cache_size).
     warm_cache_on_start: bool = False
@@ -219,10 +218,16 @@ class ServiceConfig:
         after being built (this is a plain mutable dataclass) cannot
         smuggle an invalid combination past the dataclass hook.
         """
-        if self.executor not in ("thread", "process", "auto"):
+        if self.executor == "auto":
+            raise ValueError(
+                "executor='auto' is gone: the tier is fixed at "
+                "construction (choose 'thread' or 'process'); runtime "
+                "pool sizing is enabled by autoscale_policy"
+            )
+        if self.executor not in ("thread", "process"):
             raise ValueError(
                 f"unknown executor kind: {self.executor!r} "
-                "(choose 'thread', 'process', or 'auto')"
+                "(choose 'thread' or 'process')"
             )
         if self.store_shards < 1:
             raise ValueError(
@@ -353,14 +358,12 @@ class QKBflyService:
         # dataclass validated itself at construction, but it is
         # mutable and may have been edited since.
         self.service_config.validate()
-        if self.service_config.executor == "auto":
-            self._selector: Optional[ExecutorSelector] = ExecutorSelector(
-                policy=self.service_config.autoscale_policy
-            )
-            self.executor_kind = self._selector.initial_kind()
-        else:
-            self._selector = None
-            self.executor_kind = self.service_config.executor
+        policy = self.service_config.autoscale_policy
+        self._sizer: Optional[PoolSizer] = (
+            PoolSizer(policy) if policy is not None else None
+        )
+        # Fixed from here on, except to record a process-pool fallback.
+        self.executor_kind = self.service_config.executor
         self.qkbfly = QKBfly.from_session(session, config=config)
         # Per-entity version vector (docs/INGEST.md): installed on the
         # session so the retrieval stage folds the relevant version
@@ -431,8 +434,8 @@ class QKBflyService:
         self.queue_wait = QueueWaitWindow(
             size=self.service_config.queue_wait_window
         )
-        # Current worker-pool width; the autoscaler (executor="auto")
-        # may resize it at runtime between the policy's floor/ceiling.
+        # Current worker-pool width; with autoscale_policy set, the
+        # sizer moves it at runtime between the policy's floor/ceiling.
         self.pool_workers = self.service_config.max_workers
         self._executor = BatchExecutor(
             self._serve,
@@ -471,7 +474,6 @@ class QKBflyService:
         self.ingest_pipeline = IngestPipeline(self)
         self._config_digest = self.qkbfly.config_digest
         self.pipeline_runs = 0
-        self.executor_switches = 0
         self.pool_resizes = 0
         self._pipeline_executor = self._build_pipeline_executor()
         if self.service_config.compact_store_on_start:
@@ -482,14 +484,10 @@ class QKBflyService:
     def _build_pipeline_executor(self) -> Optional[ProcessBatchExecutor]:
         """The multiprocessing pool behind the process tier.
 
-        Reads ``self.executor_kind`` (the *currently selected* tier,
-        which under ``executor="auto"`` can change at runtime), not the
-        static configuration. The configured kind was validated up
-        front in ``__init__``. If the pool silently falls back to
+        None on the thread tier. If the pool silently falls back to
         threads (unpicklable session, no process support),
         ``executor_kind`` is reconciled to what is actually running —
-        otherwise stats would mislabel the tier and the autoscaler
-        would compare traffic against a tier that does not exist.
+        otherwise stats would mislabel the tier.
         """
         if self.executor_kind == "thread":
             return None
@@ -498,21 +496,13 @@ class QKBflyService:
             config=self.qkbfly.config,
             # An explicit process_workers is an operator pin; otherwise
             # the pool follows the autoscaled width (pool_workers
-            # starts at max_workers and only moves under "auto").
+            # starts at max_workers and only moves under a sizer).
             max_workers=(
                 self.service_config.process_workers or self.pool_workers
             ),
-            mp_context=self.service_config.process_start_method,
         )
         if executor.kind != "process":
             self.executor_kind = executor.kind
-            if self._selector is not None:
-                # The process tier is not available here at all (e.g.
-                # unpicklable session) — stop the autoscaler from
-                # re-recommending it after every cooldown.
-                self._selector.pin_to_thread(
-                    executor.fallback_reason or "process tier unavailable"
-                )
         return executor
 
     @classmethod
@@ -838,7 +828,8 @@ class QKBflyService:
         )
         # An event loop never swaps pools inline; its driver applies
         # pending autoscale decisions off the loop afterwards.
-        self._record_request(key, result.seconds, allow_switch=not on_loop)
+        if not on_loop:
+            self.autoscale_tick()
         return result
 
     @staticmethod
@@ -863,15 +854,8 @@ class QKBflyService:
         started: float,
     ) -> QueryResult:
         """Per-consumer envelope for a cache hit, shared by both front
-        ends (sync thread and event loop).
-
-        Records the request for the autoscaler but never swaps
-        executors inline: a pool bootstrap takes hundreds of
-        milliseconds and this caller came for a microsecond hit — any
-        pending decision is applied by the next miss or
-        :meth:`autoscale_tick`.
-        """
-        result = QueryResult(
+        ends (sync thread and event loop)."""
+        return QueryResult(
             query=request.query,
             normalized_query=key.query,
             kb=kb.copy(),
@@ -882,8 +866,6 @@ class QKBflyService:
             request_key=key.signature(),
             entity_versions=self._versions_stamp(key.query),
         )
-        self._record_request(key, result.seconds, allow_switch=False)
-        return result
 
     def _versions_stamp(self, query: str) -> Optional[Dict[str, int]]:
         """The per-entity version slice to stamp on a result served
@@ -1042,8 +1024,7 @@ class QKBflyService:
         probe (the sync saturation rescue and the event-loop fast
         path): fills the cache for the next repeat — unless a
         concurrent corpus refresh or a concurrent ingest made the key
-        stale — and records the request for the autoscaler without
-        ever swapping pools inline.
+        stale.
 
         ``versions`` is the per-entity version slice snapshotted
         *before* the store read: if the vector advanced past it while
@@ -1059,7 +1040,7 @@ class QKBflyService:
             == versions
         ):
             self.cache.put(key, kb)
-        result = QueryResult(
+        return QueryResult(
             query=request.query,
             normalized_query=key.query,
             kb=kb.copy(),
@@ -1071,8 +1052,6 @@ class QKBflyService:
             store_seconds=store_seconds,
             entity_versions=versions or None,
         )
-        self._record_request(key, result.seconds, allow_switch=False)
-        return result
 
     def _serve(self, request_tuple) -> QueryResult:
         """Executor entry point for one (request, key) tuple.
@@ -1224,14 +1203,14 @@ class QKBflyService:
     def _run_pipeline(
         self, query: str, source: str, num_documents: int
     ) -> KnowledgeBase:
-        """One uncached pipeline run, on the currently selected tier.
+        """One uncached pipeline run, on the configured tier.
 
         The thread tier runs inline on the calling executor thread; the
         process tier ships a picklable envelope to a worker process so
         the CPU-bound stages escape the GIL. The executor reference is
-        snapshotted once per attempt: an autoscale swap (or corpus
-        refresh) may replace and shut down the pool concurrently, and a
-        request that loses that race retries on whatever tier is
+        snapshotted once per attempt: a resize, ingest or corpus
+        refresh may replace and shut down the pool concurrently, and a
+        request that loses that race retries on whatever pool is
         current instead of failing.
         """
         while True:
@@ -1253,55 +1232,24 @@ class QKBflyService:
                 if not swapped or "shutdown" not in str(error):
                     raise
 
-    # ---- executor autoscaling ----------------------------------------------
+    # ---- pool sizing -------------------------------------------------------
 
-    def _record_request(
-        self, key: CacheKey, seconds: float, allow_switch: bool = True
-    ) -> None:
-        """Feed one served request to the autoscaler (no-op otherwise).
+    def autoscale_tick(self) -> None:
+        """Ask the sizer for a pool-size decision and apply it.
 
-        Called once per *request* at the serving entry points — not per
-        pipeline run — so the selector's distinct-query ratio sees raw
-        traffic before dedup collapses the repeats. ``allow_switch=
-        False`` records the observation but defers any executor swap;
-        the cache-hit fast paths (sync and event-loop) use it so a
-        pool bootstrap never stalls a caller who came for a
-        microsecond hit.
+        A no-op without ``ServiceConfig.autoscale_policy``. The
+        decision is fed the live queue state: the deeper of the
+        request executor's and the pipeline pool's ``pending`` views
+        (a dispatched flight appears in both), plus the measured
+        queue-wait window; the outcome is observable via
+        :attr:`pool_workers` / ``stats()``. Sync serving calls this
+        after each cold request; the asyncio front end calls it from
+        its dispatch threads so pool swaps — which can take hundreds of
+        milliseconds for a process bootstrap — never run on the event
+        loop; it is equally safe to call from a maintenance cron.
         """
-        if self._selector is None:
+        if self._sizer is None:
             return
-        self._selector.record(key, seconds)
-        if not allow_switch:
-            return
-        self._apply_autoscale()
-
-    def autoscale_tick(self) -> Optional[str]:
-        """Apply any pending autoscale decision; returns the new kind.
-
-        Covers both control loops: the thread-vs-process tier decision
-        (whose outcome is the return value, None when staying put or on
-        the fixed tiers) and the pool-*size* decision (observable via
-        :attr:`pool_workers` / ``stats()``). The asyncio front end
-        calls this from its dispatch threads so pool swaps — which can
-        take hundreds of milliseconds for a process bootstrap — never
-        run on the event loop; it is equally safe to call from a
-        maintenance cron.
-        """
-        if self._selector is None:
-            return None
-        return self._apply_autoscale()
-
-    def _apply_autoscale(self) -> Optional[str]:
-        """Ask the selector for tier and pool-size decisions; apply both.
-
-        The pool-size decision is fed the live queue state: the deeper
-        of the request executor's and the pipeline pool's ``pending``
-        views (a dispatched flight appears in both), plus the measured
-        queue-wait window.
-        """
-        decision = self._selector.decide(self.executor_kind)
-        if decision is not None:
-            self._switch_executor(decision)
         pending = self._executor.pending
         pipeline_executor = self._pipeline_executor
         if pipeline_executor is not None:
@@ -1310,56 +1258,38 @@ class QKBflyService:
             # pool stand-in without the `pending` surface (tests,
             # custom tiers) degrades to that view instead of failing.
             pending = max(pending, getattr(pipeline_executor, "pending", 0))
-        size = self._selector.decide_pool_size(
+        size = self._sizer.decide_pool_size(
             self.pool_workers, pending=pending, queue_wait=self.queue_wait
         )
         if size is not None:
-            self._switch_executor(None, workers=size)
-        return decision
+            self._resize_pools(size)
 
-    def _switch_executor(
-        self, kind: Optional[str], workers: Optional[int] = None
-    ) -> None:
-        """Swap the execution tier and/or resize the pools at runtime.
+    def _resize_pools(self, workers: int) -> None:
+        """Resize the worker pools to ``workers`` at runtime.
 
-        ``kind=None`` keeps the current tier, resolved *under the
-        autoscale lock* — a resize decision must never carry a stale
-        tier snapshot across a concurrent switch and silently revert
-        it. ``workers`` (None keeps the current width) resizes the
-        request executor in place (its single-flight table, counters,
-        and queue-wait hook survive — only the inner thread pool is
-        replaced) and, when a process pool is live and not pinned by an
-        explicit ``process_workers``, rebuilds it at the new width.
-        Any new pool is built and published before the old one is shut
-        down (``wait=False``), so requests in flight on the old tier
-        complete on it while new requests already land on the new tier.
+        Resizes the request executor in place (its single-flight
+        table, counters, and queue-wait hook survive — only the inner
+        thread pool is replaced) and, when a process pool is live and
+        not pinned by an explicit ``process_workers``, rebuilds it at
+        the new width. The new pool is built and published before the
+        old one is shut down (``wait=False``), so requests in flight
+        on the old pool complete on it while new requests already land
+        on the new one.
         """
         old = None
         with self._autoscale_lock:
-            if self._closed:
-                return
-            if kind is None:
-                kind = self.executor_kind
-            switching = kind != self.executor_kind
-            resizing = workers is not None and workers != self.pool_workers
-            if not switching and not resizing:
-                return  # another thread won the same decision
+            if self._closed or workers == self.pool_workers:
+                return  # closed, or another thread won the same decision
             fault_point("service.switch_executor")
-            if resizing:
-                self.pool_workers = workers
-                self._executor.resize(workers)
-                self.pool_resizes += 1
-            self.executor_kind = kind
-            rebuild_pipeline = switching or (
-                resizing
-                and self._pipeline_executor is not None
+            self.pool_workers = workers
+            self._executor.resize(workers)
+            self.pool_resizes += 1
+            if (
+                self._pipeline_executor is not None
                 and self.service_config.process_workers is None
-            )
-            if rebuild_pipeline:
+            ):
                 old = self._pipeline_executor
                 self._pipeline_executor = self._build_pipeline_executor()
-            if switching:
-                self.executor_switches += 1
         if old is not None:
             old.shutdown(wait=False)
 
@@ -1688,8 +1618,8 @@ class QKBflyService:
             self.session.stage_cache.clear(STAGE_RETRIEVAL)
         # Worker processes bootstrapped from the *old* session pickle;
         # rebuild the pool so they serve the new corpus. The swap takes
-        # the autoscale lock so a concurrent tier switch cannot orphan
-        # a pool or publish one that was just shut down.
+        # the autoscale lock so a concurrent resize cannot orphan a
+        # pool or publish one that was just shut down.
         with self._autoscale_lock:
             old = self._pipeline_executor
             self._pipeline_executor = (
@@ -1813,9 +1743,8 @@ class QKBflyService:
             },
             "queue_wait": self.queue_wait.stats(),
         }
-        if self._selector is not None:
-            autoscale = self._selector.stats()
-            autoscale["executor_switches"] = self.executor_switches
+        if self._sizer is not None:
+            autoscale = self._sizer.stats()
             autoscale["pool_workers"] = self.pool_workers
             autoscale["pool_resizes"] = self.pool_resizes
             out["autoscale"] = autoscale
@@ -1840,8 +1769,8 @@ class QKBflyService:
         """Shut down the executors and close the store.
 
         Marks the service closed under the autoscale lock *before*
-        any pool is shut down, so a tier switch or live resize racing
-        the shutdown can neither publish a fresh pool after it (leaked
+        any pool is shut down, so a live resize racing the shutdown
+        can neither publish a fresh pool after it (leaked
         worker threads/processes) nor hand this method a pool that is
         about to be replaced.
         """

@@ -168,6 +168,7 @@ def test_controller_rejects_bad_parameters():
         ({"rate_limit_burst": 5}, "rate_limit_qps"),  # burst without rate
         ({"rate_limit_qps": 1, "rate_limit_burst": 0}, "rate_limit_burst"),
         ({"max_queue_depth": 0}, "max_queue_depth"),
+        ({"executor": "auto"}, "autoscale_policy"),  # names the replacement
     ],
 )
 def test_service_config_rejects_invalid_combos_loudly(kwargs, match):

@@ -362,7 +362,7 @@ def test_overloaded_retry_after_uses_measured_waits():
 
 def test_window_survives_live_pool_swap(service_session):
     """The wait window belongs to the service, not to any pool: a
-    _switch_executor resize retires the inner thread pool but keeps
+    _resize_pools retires the inner thread pool but keeps
     the window (and its samples), and the new pool keeps feeding it."""
     config = ServiceConfig(max_workers=2)
     with QKBflyService(service_session, service_config=config) as service:
@@ -371,7 +371,7 @@ def test_window_survives_live_pool_swap(service_session):
         before = len(service.queue_wait)
         assert before >= 1  # the miss went through the executor
         window_before = service.queue_wait
-        service._switch_executor("thread", workers=4)  # live resize
+        service._resize_pools(4)  # live resize
         assert service.pool_workers == 4
         assert service._executor.max_workers == 4
         assert service.queue_wait is window_before
@@ -549,7 +549,7 @@ def test_pool_resize_during_in_flight_request(service_session):
             )
             in_flight.start()
             assert entered.wait(timeout=30)
-            service._switch_executor("thread", workers=5)
+            service._resize_pools(5)
             release.set()
             in_flight.join(timeout=30)
             assert not in_flight.is_alive()
