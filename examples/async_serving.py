@@ -9,8 +9,7 @@ clients:
    pipeline run (single-flight dedup across coroutines);
 2. while slow cold queries grind on the executor tier, cache hits keep
    resolving on the event loop in microseconds (no head-of-line
-   blocking — the property the serving layer's async benchmark gates
-   in CI);
+   blocking — the property ``tests/test_service_async.py`` asserts);
 3. a mixed hot/cold batch via ``asyncio.gather`` preserves order and
    per-client result isolation.
 

@@ -21,7 +21,14 @@ Three rot detectors, stdlib only:
    ``admission.cost_limited``) are skipped: the check guards real code
    symbols against renames, it is not a spell checker. Fenced code
    blocks are ignored.
-3. **Examples** — every ``examples/*.py`` module must import cleanly
+3. **Paths** — every *file path* in backticks (a word containing
+   ``/`` whose suffix is one of ``_FILE_SUFFIXES``, e.g.
+   ```` `tests/test_stage_cache.py` ```` or
+   ```` `service/stage_cache.py` ````) must exist under the repo root,
+   ``src/`` or ``src/repro/``. Words containing ``*`` or ``<`` are
+   patterns or placeholders and are skipped. A deleted or renamed file
+   still cited by the docs fails here.
+4. **Examples** — every ``examples/*.py`` module must import cleanly
    (all are ``__main__``-guarded, so importing runs no workload). A
    renamed service API breaks this job, not a user's first copy-paste.
 
@@ -29,7 +36,8 @@ Usage::
 
     python scripts/check_docs.py [repo_root]
 
-Exits non-zero listing every broken link / stale symbol / failed import.
+Exits non-zero listing every broken link / stale symbol / missing path /
+failed import.
 """
 
 from __future__ import annotations
@@ -224,6 +232,28 @@ def check_symbols(root: Path) -> list:
     return broken
 
 
+def check_paths(root: Path) -> list:
+    """Return 'file: path' strings for every backticked file path that
+    resolves under none of the repo root, ``src/`` and ``src/repro/``."""
+    bases = (root, root / "src", root / "src" / "repro")
+    missing = []
+    for md_file in iter_markdown_files(root):
+        if not md_file.exists():
+            continue
+        text = md_file.read_text(encoding="utf-8")
+        text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+        for span in _CODE_SPAN_RE.finditer(text):
+            for word in span.group(1).split():
+                path = word.split("::", 1)[0]
+                if "/" not in path or "*" in path or "<" in path:
+                    continue
+                if path.rsplit(".", 1)[-1].lower() not in _FILE_SUFFIXES:
+                    continue
+                if not any((base / path).exists() for base in bases):
+                    missing.append(f"{md_file.relative_to(root)}: `{path}`")
+    return missing
+
+
 def check_example_imports(root: Path) -> list:
     """Import every example module; return 'file: error' strings."""
     failures = []
@@ -257,25 +287,29 @@ def main() -> int:
     ).resolve()
     broken_links = check_links(root)
     stale_symbols = check_symbols(root)
+    missing_paths = check_paths(root)
     import_failures = check_example_imports(root)
     for problem in broken_links:
         print(f"BROKEN LINK  {problem}")
     for problem in stale_symbols:
         print(f"STALE SYMBOL {problem}")
+    for problem in missing_paths:
+        print(f"MISSING PATH {problem}")
     for problem in import_failures:
         print(f"IMPORT FAIL  {problem}")
     markdown_count = sum(1 for _ in iter_markdown_files(root))
     example_count = len(list((root / "examples").glob("*.py")))
-    if broken_links or stale_symbols or import_failures:
+    if broken_links or stale_symbols or missing_paths or import_failures:
         print(
             f"\ndocs check FAILED: {len(broken_links)} broken link(s), "
             f"{len(stale_symbols)} stale symbol reference(s), "
+            f"{len(missing_paths)} missing file path(s), "
             f"{len(import_failures)} example import failure(s)"
         )
         return 1
     print(
         f"docs check passed: {markdown_count} markdown file(s) linked "
-        f"correctly, backtick symbol references resolve, "
+        f"correctly, backtick symbol references and file paths resolve, "
         f"{example_count} example(s) import cleanly"
     )
     return 0

@@ -7,7 +7,7 @@ resizes) were asserted in docstrings; this module makes them
 crash-prone spots named in :data:`CATALOG`; with no schedule armed the
 call is a single module-global ``None`` check — nothing is allocated,
 no lock is taken — so the hooks are effectively compiled out of normal
-serving (the bench gates hold with the hooks in place). Arming a
+serving (``benchmarks/e2e`` measures with the hooks in place). Arming a
 :class:`~repro.faultinject.schedule.FaultSchedule` via :func:`inject`
 turns selected hits of selected points into deterministic faults:
 

@@ -300,16 +300,21 @@ class _State:
         return best
 
     def _means_removal_cost(self, group: FrozenSet[str], entity_id: str) -> float:
-        """c for removing candidate ``entity_id`` from a whole NP group."""
+        """c for removing candidate ``entity_id`` from a whole NP group.
+
+        Also scores the final graph, where the group's last candidate
+        may be removed. Both loops run in sorted order: a float sum over
+        a set's iteration order would depend on the hash seed.
+        """
         cost = 0.0
-        for member in group:
+        for member in sorted(group):
             if entity_id in self.graph.candidates(member):
                 cost += self.weights.means_weight(member, entity_id)
         # Relation edges touching the group or linked pronouns.
         touched = self._touched_by_group(group)
         saved = {g: set(c) for g, c in self.group_cands.items()}
         self.group_cands[group] = self.group_cands[group] - {entity_id}
-        for phrase_id in touched:
+        for phrase_id in sorted(touched):
             for index in self._edges_by_phrase.get(phrase_id, ()):
                 new_weight = self._compute_edge_weight(
                     self.graph.relation_edges[index]
@@ -367,7 +372,7 @@ class _State:
             if len(cands) != 1:
                 continue
             chosen = sorted(cands)[0]
-            chosen_cost = self._means_removal_cost_final(group, chosen)
+            chosen_cost = self._means_removal_cost(group, chosen)
             denominator = 0.0
             for alternative in sorted(self.original_cands[group]):
                 if alternative == chosen:
@@ -376,32 +381,12 @@ class _State:
                 saved = self.group_cands[group]
                 self.group_cands[group] = {alternative}
                 self._refresh_edges_of(self._touched_by_group(group))
-                denominator += self._means_removal_cost_final(group, alternative)
+                denominator += self._means_removal_cost(group, alternative)
                 self.group_cands[group] = saved
                 self._refresh_edges_of(self._touched_by_group(group))
             score = chosen_cost / denominator if denominator > 0 else 1.0
             for member in group:
                 result.confidence[member] = score
-
-    def _means_removal_cost_final(
-        self, group: FrozenSet[str], entity_id: str
-    ) -> float:
-        """c(x, y, S) in the final graph, allowing the last candidate."""
-        cost = 0.0
-        for member in group:
-            if entity_id in self.graph.candidates(member):
-                cost += self.weights.means_weight(member, entity_id)
-        touched = self._touched_by_group(group)
-        saved = {g: set(c) for g, c in self.group_cands.items()}
-        self.group_cands[group] = self.group_cands[group] - {entity_id}
-        for phrase_id in touched:
-            for index in self._edges_by_phrase.get(phrase_id, ()):
-                new_weight = self._compute_edge_weight(
-                    self.graph.relation_edges[index]
-                )
-                cost += self._edge_weights[index] - new_weight
-        self.group_cands = saved
-        return cost
 
     # ---- write back -----------------------------------------------------------------------
 

@@ -487,9 +487,12 @@ class QKBflyService:
         None on the thread tier. If the pool silently falls back to
         threads (unpicklable session, no process support),
         ``executor_kind`` is reconciled to what is actually running —
-        otherwise stats would mislabel the tier.
+        otherwise stats would mislabel the tier. The tier is read from
+        the configuration, not from ``executor_kind``: a rebuild after
+        a fallback retries the pool and keeps reporting its
+        ``fallback_reason`` instead of dropping the executor.
         """
-        if self.executor_kind == "thread":
+        if self.service_config.executor == "thread":
             return None
         executor = ProcessBatchExecutor(
             self.session,
@@ -501,8 +504,7 @@ class QKBflyService:
                 self.service_config.process_workers or self.pool_workers
             ),
         )
-        if executor.kind != "process":
-            self.executor_kind = executor.kind
+        self.executor_kind = executor.kind
         return executor
 
     @classmethod

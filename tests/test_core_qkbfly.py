@@ -1,8 +1,33 @@
 """End-to-end tests for QKBfly and canonicalization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.qkbfly import QKBfly, QKBflyConfig
+
+# Builds the 60 most prominent names of world 7 from Wikipedia and
+# prints one SHA-256 over every KB, confidences included.
+_DIGEST_SCRIPT = """
+import hashlib, json
+from repro.core.qkbfly import QKBfly, SessionState
+from repro.corpus.world import World, WorldConfig
+
+session = SessionState.from_world(World(WorldConfig(), seed=7))
+pipeline = QKBfly.from_session(session)
+entities = sorted(
+    session.entity_repository.entities(),
+    key=lambda e: (-e.prominence, e.entity_id),
+)
+sha = hashlib.sha256()
+for entity in entities[:60]:
+    kb = pipeline.build_kb(entity.canonical_name, source="wikipedia")
+    sha.update(json.dumps(kb.to_dict(), sort_keys=True).encode("utf-8"))
+print(sha.hexdigest())
+"""
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +70,30 @@ class TestEndToEnd:
         kb_a, _ = a.process_text(article.text)
         kb_b, _ = b.process_text(article.text)
         assert [str(f) for f in kb_a.facts] == [str(f) for f in kb_b.facts]
+
+    def test_builds_are_independent_of_the_hash_seed(self):
+        """Oracle 1 across processes: a process-pool worker or a fabric
+        shard runs under its own ``PYTHONHASHSEED``, so the same builds
+        must produce the same bytes — confidences to the last ulp —
+        whatever the seed."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        children = []
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                part for part in (src, env.get("PYTHONPATH")) if part
+            )
+            children.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", _DIGEST_SCRIPT],
+                    stdout=subprocess.PIPE,
+                    text=True,
+                    env=env,
+                )
+            )
+        digests = [child.communicate(timeout=120)[0] for child in children]
+        assert all(child.returncode == 0 for child in children)
+        assert len(set(digests)) == 1, digests
 
     def test_emerging_entity_for_unknown_person(self, tiny_world, qkbfly_system, realizer):
         emerging_person = next(

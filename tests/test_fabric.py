@@ -595,14 +595,16 @@ def test_service_serves_identically_on_local_and_fabric_backends(
                 )
                 for query in queries
             ]
-            # Warm pass: the store tier must return identical bits.
+            # Warm pass: every answer comes from the store tier, with
+            # the bits the pipeline produced.
             service.cache.clear()
-            digests[backend + "-store"] = [
-                kb_digest(
-                    service.serve(QueryRequest(query=query)).kb
-                )
-                for query in queries
+            stored = [
+                service.serve(QueryRequest(query=query)) for query in queries
             ]
+            assert [r.served_from for r in stored] == ["store"] * len(queries)
+            assert service.pipeline_runs == len(queries)
+            digests[backend + "-store"] = [kb_digest(r.kb) for r in stored]
+            assert digests[backend + "-store"] == digests[backend]
             if backend == "fabric":
                 assert service.fabric is not None
                 assert service.stats()["fabric"]["num_shards"] == 3

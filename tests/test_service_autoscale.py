@@ -61,6 +61,34 @@ def test_service_pins_threads_when_process_pool_falls_back(service_session):
         del service_session.transient_handle
 
 
+def test_fallback_reason_survives_pool_rebuild_on_ingest(service_session):
+    """The ingest path rebuilds the process pool; after a fallback the
+    rebuild must retry the pool (and fall back again), not drop it — a
+    silently degraded tier stays visible in ``stats()``."""
+    from repro.core.qkbfly import SessionState
+    from repro.service.api import IngestRequest
+
+    # A private session: ingest swaps the session's search engine.
+    session = SessionState(
+        entity_repository=service_session.entity_repository,
+        pattern_repository=service_session.pattern_repository,
+        statistics=service_session.statistics,
+        search_engine=service_session.search_engine,
+    )
+    session.transient_handle = threading.Lock()
+    config = ServiceConfig(executor="process", max_workers=2)
+    with QKBflyService(session, service_config=config) as service:
+        name = _query_names(session, 1)[0]
+        service.ingest(
+            IngestRequest(doc_id="live-1", text=f"{name} announced a tour.")
+        )
+        stats = service.stats()
+        assert stats["executor_kind"] == "thread"
+        assert (
+            "not picklable" in stats["pipeline_executor"]["fallback_reason"]
+        )
+
+
 def test_in_flight_request_survives_pool_resize(service_session):
     """A request that loses the race against a live process-pool
     resize retries on the new pool instead of surfacing the retired

@@ -445,6 +445,48 @@ def test_cache_hits_are_effectively_free(service_session):
         assert spend < 0.5
 
 
+def test_cache_hits_resolve_while_a_costly_cold_flight_is_held(
+    service_session,
+):
+    """Under a tight cost budget, a reader's cache hits are admitted
+    and answered while another client's cold pipeline run is held open
+    on an Event: expensive cold work never sits in front of a hit."""
+    config = ServiceConfig(
+        max_workers=2, cost_budget_per_second=0.05, cost_budget_burst=0.25
+    )
+    with QKBflyService(service_session, service_config=config) as service:
+        hot, cold = _top_queries(service_session, 2)
+        service.serve(QueryRequest(query=hot, client_id="reader"))
+        entered = threading.Event()
+        release = threading.Event()
+        original = service._run_pipeline
+
+        def held(query, source, num_documents):
+            entered.set()
+            release.wait(timeout=30)
+            return original(query, source, num_documents)
+
+        service._run_pipeline = held
+        adversary = threading.Thread(
+            target=service.serve,
+            args=(QueryRequest(query=cold, client_id="adversary"),),
+        )
+        adversary.start()
+        try:
+            assert entered.wait(timeout=30)
+            hits = [
+                service.serve(QueryRequest(query=hot, client_id="reader"))
+                for _ in range(50)
+            ]
+            assert adversary.is_alive()  # every hit beat the held flight
+        finally:
+            release.set()
+            adversary.join(timeout=30)
+        assert [r.served_from for r in hits] == ["cache"] * 50
+        assert service.pipeline_runs == 2
+        assert service.stats()["admission"]["cost_limited"] == 0
+
+
 def test_serve_batch_settles_cost_per_slot(service_session):
     config = ServiceConfig(
         cost_budget_per_second=0.001, cost_budget_burst=5.0

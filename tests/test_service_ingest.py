@@ -419,6 +419,48 @@ def test_replacing_a_retrieved_document_serves_the_fresh_build(
         service.close()
 
 
+def test_ingests_cool_exactly_the_touched_warm_entries(tiny_world, background):
+    """Warm a tier, watch two targets, ingest four documents naming
+    them: every warm query is re-served from the cache unless
+    ``query_touches`` says an ingest reached it, and each document
+    delivers exactly one delta to the watching subscription."""
+    session = _fresh_session(tiny_world, background)
+    service = _service(session)
+    try:
+        warm = _top_queries(session, 8)
+        targets = warm[:2]
+        for query in warm:
+            service.serve(QueryRequest(query=query))
+        subscription = service.watch(
+            WatchRequest(entities=targets, client_id="monitor")
+        )
+        touched = set()
+        for index in range(4):
+            ack = service.ingest(
+                IngestRequest(
+                    doc_id=f"live-{index}",
+                    text=f"{targets[index % 2]} announced a new venture.",
+                )
+            )
+            touched.update(ack.touched_entities)
+        served = {
+            query: service.serve(QueryRequest(query=query)).served_from
+            for query in warm
+        }
+        predicted = {
+            query: "executor" if touches_any(query, touched) else "cache"
+            for query in warm
+        }
+        assert served == predicted
+        assert set(predicted.values()) == {"executor", "cache"}
+        deltas = service.poll_deltas(
+            subscription["subscription_id"], after=0, timeout=0.0
+        )["deltas"]
+        assert [d["doc_id"] for d in deltas] == [f"live-{i}" for i in range(4)]
+    finally:
+        service.close()
+
+
 def test_fabric_backend_selective_invalidation(
     tiny_world, background, tmp_path
 ):

@@ -61,6 +61,41 @@ def test_sharded_process_service_cold_warm_parity(service_session, tmp_path):
         assert stats["store"]["kb_entries"] == len(queries)
 
 
+def test_warm_and_cache_cleared_passes_run_no_pipeline(
+    service_session, tmp_path
+):
+    """Cold, warm, then cache-cleared passes over a sharded store: the
+    warm pass is all cache hits and the cleared pass all store hits,
+    neither runs the pipeline, every answer is bit-identical to the
+    uncached build, and the entries spread over more than one shard."""
+    queries = _top_queries(service_session, 8)
+    expected = _expected_kbs(service_session, queries)
+    config = ServiceConfig(
+        max_workers=4, store_path=str(tmp_path / "shards"), store_shards=4
+    )
+    with QKBflyService(service_session, service_config=config) as service:
+
+        def serve_pass():
+            return [service.serve(QueryRequest(query=q)) for q in queries]
+
+        cold = serve_pass()
+        assert [r.served_from for r in cold] == ["executor"] * len(queries)
+        assert service.pipeline_runs == len(queries)
+        warm = serve_pass()
+        assert [r.served_from for r in warm] == ["cache"] * len(queries)
+        assert service.cache.stats()["hit_rate"] == 0.5
+        service.cache.clear()
+        stored = serve_pass()
+        assert [r.served_from for r in stored] == ["store"] * len(queries)
+        assert service.pipeline_runs == len(queries)
+        for results in (cold, warm, stored):
+            assert [r.kb.to_dict() for r in results] == [
+                expected[q] for q in queries
+            ]
+        occupied = [c for c in service.store.shard_entry_counts() if c > 0]
+        assert len(occupied) > 1
+
+
 def test_restart_with_warm_cache_serves_hits_without_pipeline(
     service_session, tmp_path
 ):

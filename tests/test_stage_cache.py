@@ -253,6 +253,39 @@ def test_cross_query_reuse_is_bit_identical(stage_session):
     assert stage_session.stage_cache.reuse_ratio > 0.0
 
 
+def test_overlap_workload_reuse_is_an_exact_lookup_count():
+    """Eight names then "<name> spouse" on the reference world, served
+    by a service that installs its own stage cache: the variants miss
+    every result tier and retrieval (new query text), and hit nlp,
+    extract and fragment once per document — exactly 24 of 64 stage
+    lookups — with every KB bit-identical to a stage-cache-free build.
+    A ``stage_cache_enabled=False`` service over the same session
+    installs no cache."""
+    session = SessionState.from_world(World(WorldConfig(), seed=7))
+    session.stage_cache = None
+    names = _query_names(session, 8)
+    queries = names + [f"{name} spouse" for name in names]
+    reference = QKBfly.from_session(session)
+    expected = [
+        reference.build_kb(query, num_documents=1).to_dict()
+        for query in queries
+    ]
+    control = ServiceConfig(max_workers=2, stage_cache_enabled=False)
+    with QKBflyService(session, service_config=control) as service:
+        service.serve(QueryRequest(query=queries[0]))
+    assert session.stage_cache is None
+
+    with QKBflyService(
+        session, service_config=ServiceConfig(max_workers=2)
+    ) as service:
+        results = [service.serve(QueryRequest(query=q)) for q in queries]
+        stats = service.stats()["stage_cache"]
+    assert [r.served_from for r in results] == ["executor"] * len(queries)
+    assert [r.kb.to_dict() for r in results] == expected
+    assert (stats["hits"], stats["hits"] + stats["misses"]) == (24, 64)
+    assert stats["stages"][STAGE_RETRIEVAL]["hits"] == 0
+
+
 def test_corpus_bump_rotates_retrieval_keys_but_not_nlp(stage_session):
     stage_session.stage_cache = StageCache()
     qkbfly = QKBfly.from_session(stage_session)
