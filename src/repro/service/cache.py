@@ -193,22 +193,19 @@ class QueryCache:
         ``entities`` (the entity-granular twin of
         :meth:`invalidate_corpus_version`, used by live ingest).
 
-        Applies :func:`repro.service.ingest.match.query_touches` — the
-        same rule the KB store and stage cache apply — so one ingest
-        cools exactly the same query slice in every tier. Returns the
-        number of entries removed.
+        Applies :func:`repro.service.ingest.match.query_touches`
+        through an :class:`~repro.service.ingest.match.EntityMatcher`
+        — the same rule the KB store and stage cache apply — so one
+        ingest cools exactly the same query slice in every tier.
+        Returns the number of entries removed.
         """
-        from repro.service.ingest.match import touches_any
+        from repro.service.ingest.match import EntityMatcher
 
-        entity_list = list(entities)
-        if not entity_list:
+        touches = EntityMatcher(entities)
+        if not touches:
             return 0
         with self._lock:
-            stale = [
-                key
-                for key in self._entries
-                if touches_any(key.query, entity_list)
-            ]
+            stale = [key for key in self._entries if touches(key.query)]
             for key in stale:
                 del self._entries[key]
                 del self._inserted_at[key]

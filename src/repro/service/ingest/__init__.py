@@ -18,6 +18,7 @@ their submodules.
 """
 
 from repro.service.ingest.match import (
+    EntityMatcher,
     normalize_entity,
     query_touches,
     touched_entities,
@@ -26,6 +27,7 @@ from repro.service.ingest.match import (
 from repro.service.ingest.versions import EntityVersionVector, versions_token
 
 __all__ = [
+    "EntityMatcher",
     "EntityVersionVector",
     "normalize_entity",
     "query_touches",

@@ -20,6 +20,16 @@ spouse", and the query "bennett" touches the entity "angela bennett").
 Token-level containment — not substring matching — so the entity
 "Ann" can never touch a query about "Annapolis".
 
+A tier never walks its warm state pairing every entry with every
+touched entity: it compiles the touched set once into an
+:class:`EntityMatcher`, which indexes the entities by token. The
+index is an exact prefilter, not a heuristic. A non-empty contiguous
+run always shares its first token with the sequence it sits in, so an
+entity that touches a query shares at least one token with it; a
+query whose tokens are disjoint from every entity's touches none of
+them, and the matcher rejects it with one set test. Only the entities
+that share a token with the query go on to the contiguous-run rule.
+
 This module is deliberately dependency-free (stdlib only): the KB
 store imports it while the ``repro.service`` package is still
 initializing, and the fabric shard server must be importable without
@@ -28,7 +38,7 @@ the serving facade.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List
+from typing import Dict, FrozenSet, Iterable, List
 
 
 def normalize_entity(name: str) -> str:
@@ -78,7 +88,69 @@ def touched_entities(
     )
 
 
+class EntityMatcher:
+    """A set of entities compiled for repeated :func:`query_touches`
+    tests: ``matcher(query)`` equals ``touches_any(query, entities)``,
+    and :meth:`touching` lists the entities that touch a query.
+
+    Each entity is kept as given and indexed under the tokens of its
+    normalized form, so a test costs one normalization of the query
+    plus :func:`query_touches` for the entities sharing a token with
+    it (the module docstring says why that is exact). Not thread-safe:
+    callers that :meth:`add` while others match hold their own lock.
+    """
+
+    def __init__(self, entities: Iterable[str] = ()) -> None:
+        #: entity -> the order it was added in
+        self._order: Dict[str, int] = {}
+        self._by_token: Dict[str, List[str]] = {}
+        for entity in entities:
+            self.add(entity)
+
+    def add(self, entity: str) -> None:
+        """Index ``entity``; a repeat or a blank name is ignored."""
+        tokens = normalize_entity(entity).split()
+        if not tokens or entity in self._order:
+            return
+        self._order[entity] = len(self._order)
+        for token in set(tokens):
+            self._by_token.setdefault(token, []).append(entity)
+
+    def _candidates(self, query: str) -> List[str]:
+        """The entities sharing a token with ``query``, in the order
+        they were added."""
+        if not self._by_token:
+            return []
+        tokens = query.lower().split()  # == normalize_entity(query).split()
+        if self._by_token.keys().isdisjoint(tokens):
+            return []
+        shared = {
+            entity
+            for token in set(tokens)
+            for entity in self._by_token.get(token, ())
+        }
+        return sorted(shared, key=self._order.__getitem__)
+
+    def __call__(self, query: str) -> bool:
+        return any(
+            query_touches(query, entity) for entity in self._candidates(query)
+        )
+
+    def touching(self, query: str) -> List[str]:
+        """The entities that touch ``query``, in the order they were
+        added."""
+        return [
+            entity
+            for entity in self._candidates(query)
+            if query_touches(query, entity)
+        ]
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+
 __all__ = [
+    "EntityMatcher",
     "normalize_entity",
     "query_touches",
     "touched_entities",

@@ -11,17 +11,23 @@ flowing — only ingests queue behind each other):
    for the *touched-entity set*: repository entities mentioned, emerging
    entities discovered, fact argument displays, and the document
    title, all normalized;
-2. **commit** — the session's search engine is rebuilt with the new
-   document (``Bm25Index`` forbids in-place duplicates, so the swap is
-   a fresh engine over copied doc tables), the owning service rebinds
-   its pipeline over the new engine, and the per-entity version vector
-   is bumped for the touched set. The global ``corpus_version`` is
+2. **commit** — the session's search engine is swapped, in one
+   reference assignment, for ``engine.with_document(document)``: a
+   copy-on-write engine that shares every posting bucket except those
+   of the new revision's tokens (and, on an update, the old one's) and
+   shares the other channel outright, so the old engine stays intact
+   for readers still holding it. The owning service rebinds its
+   pipeline over the new engine, and the per-entity version vector is
+   bumped for the touched set. The global ``corpus_version`` is
    deliberately **not** rotated — that is the whole point;
 3. **invalidate** — exactly the warm state whose normalized query
    intersects the touched set is discarded: query-cache entries, KB
    store rows (the store's delete trigger keeps the FTS5 search index
    consistent inside the same transaction), and tagged retrieval-stage
-   entries. Everything else stays warm and bit-identical;
+   entries. Each tier tests its entries against one
+   :class:`~repro.service.ingest.match.EntityMatcher` compiled from
+   the touched set, so most entries are rejected by one set test.
+   Everything else stays warm and bit-identical;
 4. **acknowledge** — the ingest is recorded in the service history.
    Only now may a caller treat the document as durable; a crash at the
    ``ingest.commit`` fault point (before step 2) leaves no trace, and
@@ -43,7 +49,7 @@ from typing import Any, Dict, FrozenSet, Optional, Set
 from repro.corpus.realizer import RealizedDocument
 from repro.corpus.retrieval import SearchEngine
 from repro.faultinject.points import fault_point
-from repro.service.ingest.match import normalize_entity, touches_any
+from repro.service.ingest.match import EntityMatcher, normalize_entity
 
 #: Surfaces that show up in mention sets but are useless as touched
 #: entities — bumping "he" would invalidate half the query space.
@@ -149,10 +155,12 @@ class IngestPipeline:
             )
             previous = table.get(request.doc_id)
             touched = set(self.compute_touched(document))
-            if previous is not None and previous.text != document.text:
+            if previous is not None and (
+                (previous.text, previous.title) != (document.text, document.title)
+            ):
                 # An update also touches everything the old revision
                 # talked about — queries anchored on entities that only
-                # the old text mentioned must rotate too.
+                # the old text or title mentioned must rotate too.
                 touched |= self.compute_touched(previous)
             self._intent = {
                 "doc_id": request.doc_id,
@@ -160,7 +168,7 @@ class IngestPipeline:
             }
             fault_point("ingest.commit", doc_id=request.doc_id)
             # -- commit: swap the engine, rebind the service, bump ----
-            session.search_engine = self._engine_with(engine, document)
+            session.search_engine = engine.with_document(document)
             service._rebind_after_ingest()
             bumped = session.entity_versions.bump(touched)
             fault_point("ingest.invalidate", doc_id=request.doc_id)
@@ -263,32 +271,15 @@ class IngestPipeline:
             "corpus_version": corpus_version,
         }
 
-    @staticmethod
-    def _engine_with(
-        engine: SearchEngine, document: RealizedDocument
-    ) -> SearchEngine:
-        """A fresh engine with ``document`` added or replaced.
-
-        ``Bm25Index.add`` rejects duplicate doc ids, so updates cannot
-        be applied in place; a new engine over copied doc tables
-        rebuilds both channel indexes in its ``__post_init__``.
-        """
-        wikipedia = dict(engine.wikipedia_docs)
-        news = dict(engine.news_docs)
-        if document.source == "wikipedia":
-            wikipedia[document.doc_id] = document
-        else:
-            news[document.doc_id] = document
-        return SearchEngine(
-            world=engine.world, wikipedia_docs=wikipedia, news_docs=news
-        )
-
     def _invalidate(self, touched: Set[str]) -> Dict[str, int]:
         """Discard every warm entry whose query intersects ``touched``.
 
         All three tiers apply the same :func:`~repro.service.ingest.
-        match.query_touches` rule; the store's delete trigger removes
-        the matching FTS5 index rows inside the delete transaction.
+        match.query_touches` rule through an
+        :class:`~repro.service.ingest.match.EntityMatcher`; the store
+        and fabric shards compile their own from the entity list. The
+        store's delete trigger removes the matching FTS5 index rows
+        inside the delete transaction.
         """
         service = self._service
         counts = {"cache": 0, "store": 0, "stage": 0}
@@ -299,8 +290,7 @@ class IngestPipeline:
         stage_cache = service.session.stage_cache
         if stage_cache is not None:
             counts["stage"] = stage_cache.discard_tagged(
-                "retrieval",
-                lambda query: touches_any(query, touched),
+                "retrieval", EntityMatcher(touched)
             )
         return counts
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, Mapping
 
-from repro.service.ingest.match import normalize_entity, query_touches
+from repro.service.ingest.match import EntityMatcher, normalize_entity
 
 
 def versions_token(versions: Mapping[str, int]) -> str:
@@ -56,6 +56,9 @@ class EntityVersionVector:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._versions: Dict[str, int] = {}
+        #: Every tracked entity, indexed by token, in first-bump order
+        #: (the order of ``_versions``).
+        self._matcher = EntityMatcher()
         self.bumps = 0
 
     def bump(self, entities: Iterable[str]) -> Dict[str, int]:
@@ -67,6 +70,8 @@ class EntityVersionVector:
                 name = normalize_entity(entity)
                 if not name:
                     continue
+                if name not in self._versions:
+                    self._matcher.add(name)
                 self._versions[name] = self._versions.get(name, 0) + 1
                 bumped[name] = self._versions[name]
             if bumped:
@@ -87,13 +92,14 @@ class EntityVersionVector:
 
         This is what gets stamped onto served results — a query that
         involves no ingested entity gets ``{}``, and its results are
-        byte-identical to the pre-ingest world.
+        byte-identical to the pre-ingest world. Keys come in
+        first-bump order; only entities sharing a token with the query
+        are examined.
         """
         with self._lock:
             return {
-                entity: version
-                for entity, version in self._versions.items()
-                if query_touches(query, entity)
+                entity: self._versions[entity]
+                for entity in self._matcher.touching(query)
             }
 
     def token_for_query(self, query: str) -> str:

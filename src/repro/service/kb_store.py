@@ -752,19 +752,20 @@ class KbStore:
         ``entities`` — the store tier of entity-granular invalidation.
 
         The match runs on the ``kb_entries.query`` column (the
-        normalized query text) with the same
-        :func:`repro.service.ingest.match.query_touches` rule the
+        normalized query text) through an
+        :class:`~repro.service.ingest.match.EntityMatcher`, with the
+        same :func:`repro.service.ingest.match.query_touches` rule the
         query cache and stage cache apply, so all tiers cool the same
-        slice. All matched rows go in one transaction — facts cascade
-        and the delete trigger removes the FTS5 index rows with them —
-        with the save-path's BaseException rollback contract, so an
-        interrupt mid-delete leaves entries and search index intact
-        together. Returns the number of entries removed.
+        slice. All matched rows go in one transaction — facts
+        cascade and the delete trigger removes the FTS5 index rows
+        with them — with the save-path's BaseException rollback
+        contract, so an interrupt mid-delete leaves entries and search
+        index intact together. Returns the number of entries removed.
         """
-        from repro.service.ingest.match import touches_any
+        from repro.service.ingest.match import EntityMatcher
 
-        entity_list = [entity for entity in entities if entity]
-        if not entity_list:
+        touches = EntityMatcher(entities)
+        if not touches:
             return 0
         with self._lock:
             doomed = [
@@ -772,7 +773,7 @@ class KbStore:
                 for entry_id, query in self._conn.execute(
                     "SELECT entry_id, query FROM kb_entries"
                 )
-                if touches_any(query, entity_list)
+                if touches(query)
             ]
             if not doomed:
                 return 0

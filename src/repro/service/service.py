@@ -1528,13 +1528,15 @@ class QKBflyService:
         """Rebind the pipeline over the session's just-swapped search
         engine *without* rotating the corpus version.
 
-        The ingest path's slice of :meth:`refresh_corpus`: gazetteer
-        snapshot and QKBfly rebind so the new document is retrievable,
-        plus a process-pool rebuild (workers bootstrapped from the old
-        session pickle would keep serving the old engine). No blanket
-        invalidation — the caller invalidates the touched slice.
+        The ingest path's slice of :meth:`refresh_corpus`: a QKBfly
+        rebind so the new document is retrievable, plus a process-pool
+        rebuild (workers bootstrapped from the old session pickle would
+        keep serving the old engine). The NLP pipeline is kept: its
+        gazetteer is a snapshot of the entity repository, which an
+        ingest never changes (the memoised repository fingerprint
+        assumes the same). No blanket invalidation — the caller
+        invalidates the touched slice.
         """
-        self.session.rebuild_nlp()
         self.qkbfly = QKBfly.from_session(
             self.session, config=self.qkbfly.config
         )

@@ -155,7 +155,6 @@ class TestDocumentTokens:
     def test_engine_rebuild_tokenises_only_the_new_document(
         self, tiny_world, background, tokenized
     ):
-        from repro.service.ingest.pipeline import IngestPipeline
         from repro.corpus.realizer import RealizedDocument
 
         engine = SearchEngine.from_world(tiny_world, background.documents)
@@ -164,10 +163,74 @@ class TestDocumentTokens:
             doc_id="live-1", title="Live one", sentences=["A merger was announced."],
             emitted=[], mentions=[], source="news",
         )
-        rebuilt = IngestPipeline._engine_with(engine, added)
+        rebuilt = engine.with_document(added)
         assert tokenized == ["Live one", "A merger was announced."]
         assert len(rebuilt.news_docs) == len(engine.news_docs) + 1
         query = next(iter(engine.wikipedia_docs.values())).title
         assert [d.doc_id for d in rebuilt.search(query, k=3)] == [
             d.doc_id for d in engine.search(query, k=3)
         ]
+
+
+class TestCopyOnWrite:
+    """``with_document`` derives a new engine/index and never edits the
+    one it came from (the hypothesis twin over generated add/replace
+    sequences is in ``tests/test_service_properties.py``)."""
+
+    @staticmethod
+    def _state(index):
+        return (
+            {token: dict(bucket) for token, bucket in index._postings.items()},
+            dict(index._doc_len),
+            index._total_len,
+        )
+
+    def test_replace_equals_a_from_scratch_engine(self, tiny_world, background):
+        from repro.corpus.realizer import RealizedDocument
+
+        engine = SearchEngine.from_world(tiny_world, background.documents)
+        before = self._state(engine._wiki_index)
+        old = next(iter(engine.wikipedia_docs.values()))
+        revision = RealizedDocument(
+            doc_id=old.doc_id, title="Renamed page",
+            sentences=["A merger was announced in Zanzibar."],
+            emitted=[], mentions=[], source="wikipedia",
+        )
+        derived = engine.with_document(revision)
+
+        scratch = SearchEngine(
+            world=tiny_world,
+            wikipedia_docs={**engine.wikipedia_docs, old.doc_id: revision},
+            news_docs=dict(engine.news_docs),
+        )
+        assert self._state(derived._wiki_index) == self._state(scratch._wiki_index)
+        for query in (old.title, "merger zanzibar", "renamed page"):
+            tokens = content_tokens(query)
+            assert derived._wiki_index.search(tokens, k=10) == (
+                scratch._wiki_index.search(tokens, k=10)
+            )
+        # The source engine is untouched; the other channel is shared.
+        assert self._state(engine._wiki_index) == before
+        assert engine.wikipedia_docs[old.doc_id] is old
+        assert derived.news_docs is engine.news_docs
+        assert derived._news_index is engine._news_index
+
+    def test_replace_needs_the_indexed_revision_tokens(self):
+        index = Bm25Index()
+        index.add("a", ["x", "y"])
+        with pytest.raises(ValueError):
+            index.with_document("a", ["z"])
+        replaced = index.with_document("a", ["z"], ["x", "y"])
+        assert replaced._postings == {"z": {"a": 1}}
+        assert index._postings == {"x": {"a": 1}, "y": {"a": 1}}
+
+    def test_unknown_source_rejected(self, tiny_world, background):
+        from repro.corpus.realizer import RealizedDocument
+
+        engine = SearchEngine.from_world(tiny_world, background.documents)
+        stray = RealizedDocument(
+            doc_id="x", title="x", sentences=["x"], emitted=[], mentions=[],
+            source="intranet",
+        )
+        with pytest.raises(ValueError):
+            engine.with_document(stray)

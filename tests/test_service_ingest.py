@@ -211,6 +211,29 @@ def test_ingest_update_unions_old_and_new_revision_entities(
         service.close()
 
 
+def test_title_only_update_touches_the_old_title(tiny_world, background):
+    """Titles are indexed (twice) for retrieval, so a re-ingest that
+    changes only the title is an update too: warm queries on the old
+    title's name must rotate."""
+    session = _fresh_session(tiny_world, background)
+    service = _service(session)
+    try:
+        old_title, new_title = _top_queries(session, 2)
+        text = "A merger was announced."
+        service.ingest(
+            IngestRequest(doc_id="live-1", title=old_title, text=text)
+        )
+        update = service.ingest(
+            IngestRequest(doc_id="live-1", title=new_title, text=text)
+        )
+        assert update.updated is True
+        assert normalize_entity(old_title) in update.touched_entities
+        assert normalize_entity(new_title) in update.touched_entities
+        assert session.search_engine.news_docs["live-1"].title == new_title
+    finally:
+        service.close()
+
+
 def test_selective_invalidation_untouched_entry_survives_bit_identical(
     tiny_world, background
 ):
@@ -331,7 +354,12 @@ def test_ingest_cycle_recomputes_no_static_fingerprint(
     """An ingest rebinds a fresh ``QKBfly`` over the *same* repository
     objects: the millisecond-scale fingerprints behind the stage keys
     are memoised on the session and survive the rebind (1 entity-
-    repository recompute per cycle at the parent of this test)."""
+    repository recompute per cycle at the parent of this test), and
+    the NLP pipeline — whose NER gazetteer is a snapshot of the
+    unchanged entity repository — is kept, not rebuilt (1 gazetteer
+    build per cycle before). That the kept pipeline builds what a
+    fresh one would is pinned by
+    ``test_replacing_a_retrieved_document_serves_the_fresh_build``."""
     from repro.corpus.statistics import BackgroundStatistics
     from repro.kb.entity_repository import EntityRepository
     from repro.kb.pattern_repository import PatternRepository
@@ -341,15 +369,21 @@ def test_ingest_cycle_recomputes_no_static_fingerprint(
     try:
         target, other = _top_queries(session, 2)
         service.serve(QueryRequest(query=target, source="news"))
+        nlp = session.nlp
         calls: List[str] = []
-        for owner in (EntityRepository, BackgroundStatistics, PatternRepository):
-            original = owner.fingerprint
+        for owner, method in (
+            (EntityRepository, "fingerprint"),
+            (EntityRepository, "gazetteer"),
+            (BackgroundStatistics, "fingerprint"),
+            (PatternRepository, "fingerprint"),
+        ):
+            original = getattr(owner, method)
 
-            def counted(self, _original=original, _name=owner.__name__):
+            def counted(self, _original=original, _name=f"{owner.__name__}.{method}"):
                 calls.append(_name)
                 return _original(self)
 
-            monkeypatch.setattr(owner, "fingerprint", counted)
+            monkeypatch.setattr(owner, method, counted)
         for cycle in range(3):
             service.ingest(
                 IngestRequest(
@@ -360,6 +394,7 @@ def test_ingest_cycle_recomputes_no_static_fingerprint(
             rebuilt = service.serve(QueryRequest(query=target, source="news"))
             assert rebuilt.served_from == "executor"
         assert calls == []
+        assert session.nlp is nlp
     finally:
         service.close()
 

@@ -1,5 +1,7 @@
-"""Property-based tests (hypothesis): shard routing, rebalancing, and
-cache LRU+TTL invariants checked against a reference model."""
+"""Property-based tests (hypothesis): shard routing, rebalancing,
+cache LRU+TTL invariants and the ingest fast paths (entity matcher,
+indexed version vector, copy-on-write BM25), each checked against a
+reference model."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ from collections import OrderedDict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.corpus.retrieval import Bm25Index
 from repro.faultinject.checker import (
     VIOLATION_DIVERGENT_CONTENT,
     MonotonicFreshnessChecker,
@@ -16,6 +19,11 @@ from repro.faultinject.checker import (
 from repro.faultinject.history import HistoryRecorder
 from repro.kb.facts import ARG_ENTITY, Argument, Fact, KnowledgeBase
 from repro.service.cache import CacheKey, QueryCache
+from repro.service.ingest.match import (
+    EntityMatcher,
+    normalize_entity,
+    query_touches,
+)
 from repro.service.ingest.versions import EntityVersionVector
 from repro.service.sharding import ShardedKbStore, shard_index
 
@@ -381,3 +389,87 @@ def test_checker_catches_every_skipped_invalidation(ops):
         ), [v.describe() for v in violations]
     else:
         assert violations == []
+
+
+# ---- ingest cost: matcher, indexed vector, copy-on-write BM25 ---------------
+#
+# Each fast path is checked against the brute force it replaced. Names
+# and documents draw from a six-token alphabet, so overlapping,
+# repeated-token, single-token and empty names are all common.
+
+_TOKEN = st.sampled_from(["ann", "bo", "cy", "ann-bo", "Ann", "BO"])
+_NAME = st.lists(_TOKEN, max_size=4).map(" ".join) | st.sampled_from(["", "  "])
+
+
+@given(entities=st.lists(_NAME, max_size=8), queries=st.lists(_NAME, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_entity_matcher_equals_the_pairwise_rule(entities, queries):
+    matcher = EntityMatcher(entities)
+    for query in queries:
+        assert matcher(query) == any(query_touches(query, e) for e in entities)
+        assert matcher.touching(query) == [
+            e for e in dict.fromkeys(entities) if query_touches(query, e)
+        ]
+
+
+@given(
+    ops=st.lists(
+        st.tuples(st.just("bump"), st.lists(_NAME, max_size=4))
+        | st.tuples(st.just("query"), _NAME),
+        max_size=20,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_indexed_versions_for_query_equals_the_full_scan(ops):
+    vector = EntityVersionVector()
+    model: dict = {}  # first-bump order, like the vector's own dict
+    for op, arg in ops:
+        if op == "bump":
+            vector.bump(arg)
+            for entity in arg:
+                name = normalize_entity(entity)
+                if name:
+                    model[name] = model.get(name, 0) + 1
+            continue
+        expected = {e: v for e, v in model.items() if query_touches(arg, e)}
+        assert list(vector.versions_for_query(arg).items()) == list(
+            expected.items()
+        )
+
+
+def _bm25_state(index: Bm25Index):
+    return (
+        {token: dict(bucket) for token, bucket in index._postings.items()},
+        dict(index._doc_len),
+        index._total_len,
+    )
+
+
+@given(
+    writes=st.lists(
+        st.tuples(
+            st.sampled_from(["d1", "d2", "d3", "d4"]),
+            st.lists(_TOKEN, max_size=6),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    queries=st.lists(st.lists(_TOKEN, min_size=1, max_size=3), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_copy_on_write_bm25_equals_a_from_scratch_index(writes, queries):
+    index = Bm25Index()
+    documents: dict = {}
+    for doc_id, tokens in writes:
+        before = _bm25_state(index)
+        derived = index.with_document(doc_id, tokens, documents.get(doc_id, ()))
+        assert _bm25_state(index) == before  # the source is untouched
+        documents[doc_id] = tokens
+        scratch = Bm25Index()
+        for scratch_id, scratch_tokens in documents.items():
+            scratch.add(scratch_id, scratch_tokens)
+        assert _bm25_state(derived) == _bm25_state(scratch)
+        for query in queries:
+            # Bit-equal floats, not approximately equal ones.
+            assert derived.search(query, k=10) == scratch.search(query, k=10)
+        index = derived

@@ -206,3 +206,90 @@ def test_query_cache_hammered_from_8_threads():
     cache.invalidate_corpus_version("v1")
     for key in stale_keys:
         assert cache.get(key, count=False) is None
+
+
+def test_engine_snapshots_survive_concurrent_ingests(tiny_world, background):
+    """Readers search ``session.search_engine`` snapshots and serve
+    queries while one writer ingests 50 documents (adds and replaces
+    on both channels). Copy-on-write engines are never edited after
+    construction: nothing raises (no "dictionary changed size during
+    iteration"), and every snapshot answers a search exactly as it did
+    when it was taken, after all the later ingests."""
+    import sys
+
+    from repro.core.qkbfly import SessionState
+    from repro.corpus.retrieval import SearchEngine
+    from repro.service.api import IngestRequest, QueryRequest
+    from repro.service.service import QKBflyService, ServiceConfig
+
+    session = SessionState(
+        entity_repository=tiny_world.entity_repository,
+        pattern_repository=tiny_world.pattern_repository,
+        statistics=background.statistics,
+        search_engine=SearchEngine.from_world(tiny_world, background.documents),
+    )
+    service = QKBflyService(
+        session, service_config=ServiceConfig(max_workers=2, num_documents=2)
+    )
+    names = [
+        entity.canonical_name
+        for entity in sorted(
+            session.entity_repository.entities(), key=lambda e: -e.prominence
+        )[:6]
+    ]
+    done = threading.Event()
+    errors = []
+    snapshots = []  # (engine, query, source, first answer)
+
+    def answer(engine, query, source):
+        return [(doc.doc_id, doc.title, doc.text) for doc in engine.search(query, source, k=5)]
+
+    def reader(reader_no: int) -> None:
+        rng = random.Random(3000 + reader_no)
+        try:
+            while not done.is_set():
+                engine = session.search_engine
+                query = rng.choice(names)
+                source = rng.choice(["wikipedia", "news"])
+                snapshots.append((engine, query, source, answer(engine, query, source)))
+                if rng.random() < 0.2:
+                    service.serve(QueryRequest(query=query, source=source))
+        except Exception as error:  # pragma: no cover - failure path
+            errors.append(error)
+
+    def writer() -> None:
+        try:
+            for i in range(50):
+                subject, other = names[i % 6], names[(i + 1) % 6]
+                service.ingest(
+                    IngestRequest(
+                        doc_id=f"live-{i % 20}",
+                        title=f"{subject} bulletin {i}",
+                        text=f"{subject} announced a merger with {other}.",
+                        source="news" if i % 3 else "wikipedia",
+                    )
+                )
+        except Exception as error:  # pragma: no cover - failure path
+            errors.append(error)
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(4)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "ingest stress thread deadlocked"
+    finally:
+        sys.setswitchinterval(interval)
+        service.close()
+    assert not errors, errors
+    assert service.ingest_pipeline.stats()["ingested"] == 50
+    engines = {id(engine) for engine, *_ in snapshots}
+    assert len(engines) > 1, "readers never saw an ingest land"
+    for engine, query, source, first in snapshots:
+        assert answer(engine, query, source) == first
