@@ -10,7 +10,7 @@ Run:  python examples/fact_search.py
 
 from __future__ import annotations
 
-from repro import QKBfly, build_world
+from repro import KnowledgeBase, QKBfly, build_world
 
 
 def main() -> None:
@@ -24,8 +24,10 @@ def main() -> None:
     musician = world.entities[musician_id]
     print(f"Query: {musician.name}   Corpus: wikipedia + news")
 
-    kb = system.build_kb(musician.name, source="wikipedia", num_documents=1)
-    kb.merge(system.build_kb(musician.name, source="news", num_documents=5))
+    kb = KnowledgeBase.merge([
+        system.build_kb(musician.name, source="wikipedia", num_documents=1),
+        system.build_kb(musician.name, source="news", num_documents=5),
+    ])
     print(f"On-the-fly KB: {len(kb)} facts\n")
 
     searches = [

@@ -43,7 +43,7 @@ def main() -> None:
         name = world.entities[entity_id].name
         print(f"  {name} -> {sorted(mentions)}")
     for emerging in list(kb.emerging.values())[:4]:
-        print(f"  {emerging.display_name}* -> {emerging.mentions}")
+        print(f"  {emerging.display_name}* -> {list(emerging.mentions)}")
 
     print(f"\nRelations & Patterns ({len(kb.predicates())} predicates):")
     for predicate in kb.predicates()[:8]:

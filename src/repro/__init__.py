@@ -29,6 +29,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Fact",
+    "KbBuilder",
     "KnowledgeBase",
     "QKBfly",
     "QKBflyConfig",
@@ -45,7 +46,7 @@ __all__ = [
 if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
     from repro.core.qkbfly import QKBfly, QKBflyConfig, SessionState
     from repro.corpus.world import World, WorldConfig, build_world
-    from repro.kb.facts import Fact, KnowledgeBase
+    from repro.kb.facts import Fact, KbBuilder, KnowledgeBase
     from repro.service.api import QueryRequest, QueryResult
     from repro.service.service import QKBflyService, ServiceConfig
 
@@ -57,6 +58,7 @@ _LAZY = {
     "WorldConfig": ("repro.corpus.world", "WorldConfig"),
     "build_world": ("repro.corpus.world", "build_world"),
     "Fact": ("repro.kb.facts", "Fact"),
+    "KbBuilder": ("repro.kb.facts", "KbBuilder"),
     "KnowledgeBase": ("repro.kb.facts", "KnowledgeBase"),
     "QKBflyService": ("repro.service.service", "QKBflyService"),
     "QueryRequest": ("repro.service.api", "QueryRequest"),

@@ -21,6 +21,7 @@ from repro.kb.facts import (
     ARG_LITERAL,
     Argument,
     Fact,
+    KbBuilder,
     KnowledgeBase,
 )
 from repro.nlp.pipeline import NlpPipeline, PipelineConfig
@@ -53,7 +54,7 @@ class Defie:
         """Extract a triple KB from raw text."""
         document = self.nlp.annotate_text(text, doc_id=doc_id)
         links = self.linker.link(document)
-        kb = KnowledgeBase()
+        kb = KbBuilder()
         for sentence in document.sentences:
             for proposition in self._clausie.propositions(sentence):
                 if len(sentence.tokens) > self.max_clause_tokens * 2:
@@ -63,7 +64,7 @@ class Defie:
                 )
                 if fact is not None:
                     kb.add_fact(fact)
-        return kb
+        return kb.build()
 
     def _to_fact(
         self,

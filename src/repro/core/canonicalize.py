@@ -19,7 +19,7 @@ Turns a densified semantic graph into knowledge-base facts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.graph.densify import DensifyResult
 from repro.graph.semantic_graph import NodeType, RelationEdge, SemanticGraph
@@ -33,6 +33,7 @@ from repro.kb.facts import (
     Argument,
     EmergingEntity,
     Fact,
+    KbBuilder,
     KnowledgeBase,
 )
 from repro.kb.pattern_repository import PatternRepository
@@ -88,12 +89,10 @@ class Canonicalizer:
         Reentrant: all per-call state lives on the stack, so one
         canonicalizer instance can serve concurrent queries.
         """
-        kb = KnowledgeBase()
-        cluster_of = self._emerging_clusters(graph, result, kb, doc_id)
-        cluster_displays: Dict[str, str] = {
-            cluster_id: emerging.display_name
-            for cluster_id, emerging in kb.emerging.items()
-        }
+        kb = KbBuilder()
+        cluster_of, cluster_displays = self._emerging_clusters(
+            graph, result, kb, doc_id
+        )
 
         # Group relation edges into facts by clause (fact boundaries via
         # depends edges); clause-less edges (possessive heuristic) form
@@ -109,7 +108,7 @@ class Canonicalizer:
         for clause_id in sorted(by_clause):
             edges = by_clause[clause_id]
             fact = self._fact_from_edges(
-                graph, result, kb, cluster_of, cluster_displays, edges, doc_id,
+                graph, result, cluster_of, cluster_displays, edges, doc_id,
                 negated=graph.clauses[clause_id].negated,
                 sentence_index=graph.clauses[clause_id].sentence_index,
             )
@@ -117,13 +116,13 @@ class Canonicalizer:
                 kb.add_fact(fact)
         for edge in standalone:
             fact = self._fact_from_edges(
-                graph, result, kb, cluster_of, cluster_displays, [edge], doc_id,
+                graph, result, cluster_of, cluster_displays, [edge], doc_id,
                 negated=False,
                 sentence_index=graph.phrases[edge.source].sentence_index,
             )
             if fact is not None:
                 kb.add_fact(fact)
-        return kb
+        return kb.build()
 
     # ------------------------------------------------------------------
     # Emerging entities
@@ -133,14 +132,16 @@ class Canonicalizer:
         self,
         graph: SemanticGraph,
         result: DensifyResult,
-        kb: KnowledgeBase,
+        kb: KbBuilder,
         doc_id: str,
-    ) -> Dict[str, str]:
+    ) -> Tuple[Dict[str, str], Dict[str, str]]:
         """Assign cluster ids to out-of-KB / low-confidence groups.
 
-        Returns phrase node id -> cluster id for emerging phrases.
+        Returns phrase node id -> cluster id for emerging phrases, and
+        cluster id -> display name.
         """
         cluster_of: Dict[str, str] = {}
+        displays: Dict[str, str] = {}
         seen: set = set()
         counter = 0
         for phrase_id in sorted(graph.noun_phrases()):
@@ -181,17 +182,18 @@ class Canonicalizer:
             guessed = next(
                 (m.ner for m in named if m.ner != "O"), "MISC"
             )
+            displays[cluster_id] = strip_determiners(display)
             kb.add_emerging(
                 EmergingEntity(
                     cluster_id=cluster_id,
-                    display_name=strip_determiners(display),
+                    display_name=displays[cluster_id],
                     mentions=sorted({m.surface for m in members}),
                     guessed_type=guessed,
                 )
             )
             for member_id in group:
                 cluster_of[member_id] = cluster_id
-        return cluster_of
+        return cluster_of, displays
 
     # ------------------------------------------------------------------
     # Facts
@@ -201,7 +203,6 @@ class Canonicalizer:
         self,
         graph: SemanticGraph,
         result: DensifyResult,
-        kb: KnowledgeBase,
         cluster_of: Dict[str, str],
         cluster_displays: Dict[str, str],
         edges: List[RelationEdge],

@@ -11,7 +11,7 @@ signal PATTY itself was mined with, applied to the on-the-fly KB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Set, Tuple
 
 from repro.kb.facts import Fact, KnowledgeBase
@@ -83,11 +83,14 @@ class ParaphraseMiner:
         out.sort(key=lambda s: (-s.support, s.representative))
         return out
 
-    def apply(self, kb: KnowledgeBase) -> int:
+    def apply(self, kb: KnowledgeBase) -> Tuple[KnowledgeBase, int]:
         """Rewrite the KB's new predicates onto mined representatives.
 
-        Returns the number of facts whose predicate was rewritten. Only
-        multi-pattern synsets cause rewrites (singletons stay as-is).
+        Returns the rewritten KB and the number of facts whose predicate
+        was rewritten. Only multi-pattern synsets cause rewrites
+        (singletons stay as-is). A rewrite that makes two facts
+        identical folds them: the first row's position with the maximum
+        confidence.
         """
         mapping: Dict[str, str] = {}
         for synset in self.mine(kb):
@@ -96,12 +99,14 @@ class ParaphraseMiner:
             for pattern in synset.patterns:
                 mapping[pattern] = synset.representative
         rewritten = 0
+        facts = []
         for fact in kb.facts:
             target = mapping.get(fact.predicate)
             if target is not None and target != fact.predicate:
-                fact.predicate = target
+                fact = replace(fact, predicate=target)
                 rewritten += 1
-        return rewritten
+            facts.append(fact)
+        return kb.with_facts(facts), rewritten
 
     def _argument_pair(self, fact: Fact):
         if not fact.subject.is_entity():

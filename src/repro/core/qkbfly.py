@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.canonicalize import Canonicalizer, CanonicalizerConfig
@@ -36,7 +36,7 @@ from repro.graph.densify import DensestSubgraph, DensifyResult
 from repro.graph.semantic_graph import NodeType, SemanticGraph
 from repro.graph.weights import EdgeWeights, WeightParameters
 from repro.kb.entity_repository import EntityRepository
-from repro.kb.facts import Fact, KnowledgeBase
+from repro.kb.facts import KnowledgeBase
 from repro.kb.pattern_repository import PatternRepository
 from repro.nlp.pipeline import NlpPipeline, PipelineConfig
 from repro.nlp.tokens import Document
@@ -437,10 +437,9 @@ class QKBfly:
         if self.search_engine is None:
             raise RuntimeError("QKBfly was constructed without a search engine")
         documents = self._retrieval_stage(query, source, num_documents)
-        kb = KnowledgeBase()
-        for document in documents:
-            kb.merge(self.document_fragment(document))
-        return kb
+        return KnowledgeBase.merge(
+            [self.document_fragment(document) for document in documents]
+        )
 
     # ------------------------------------------------------------------
     # Cacheable upstream stages
@@ -588,8 +587,7 @@ class QKBfly:
         algorithm, :meth:`QKBflyConfig.digest`, pattern repository,
         statistics) — so it is built once per document × config, not
         once per query that retrieves the document. A cached fragment
-        is **shared**: read it, :meth:`KnowledgeBase.merge` it, never
-        mutate it.
+        is an immutable value shared by every answer that merges it.
 
         ``algorithm="ilp"`` always builds: the solver stops on a
         wall-clock budget, so its fragment is not a function of the
@@ -799,24 +797,7 @@ def _fragment_size(fragment: KnowledgeBase) -> int:
 
 def _restrict_to_triples(kb: KnowledgeBase) -> KnowledgeBase:
     """Keep only subject-predicate-object projections of the facts."""
-    out = KnowledgeBase()
-    out.emerging = dict(kb.emerging)
-    out.entity_mentions = {k: set(v) for k, v in kb.entity_mentions.items()}
-    out.entity_types = {k: list(v) for k, v in kb.entity_types.items()}
-    for fact in kb.facts:
-        out.add_fact(
-            Fact(
-                subject=fact.subject,
-                predicate=fact.predicate,
-                objects=fact.objects[:1],
-                pattern=fact.pattern,
-                confidence=fact.confidence,
-                doc_id=fact.doc_id,
-                sentence_index=fact.sentence_index,
-                canonical_predicate=fact.canonical_predicate,
-            )
-        )
-    return out
+    return kb.with_facts(replace(f, objects=f.objects[:1]) for f in kb.facts)
 
 
 __all__ = ["DocumentTrace", "QKBfly", "QKBflyConfig", "SessionState"]

@@ -9,7 +9,7 @@ higher-arity facts.
 """
 
 from repro.kb.entity_repository import Entity, EntityRepository
-from repro.kb.facts import Argument, Fact, KnowledgeBase
+from repro.kb.facts import Argument, Fact, KbBuilder, KnowledgeBase
 from repro.kb.pattern_repository import PatternRepository, Relation
 from repro.kb.typesystem import TypeSystem
 
@@ -18,6 +18,7 @@ __all__ = [
     "Entity",
     "EntityRepository",
     "Fact",
+    "KbBuilder",
     "KnowledgeBase",
     "PatternRepository",
     "Relation",

@@ -10,8 +10,9 @@ subject / predicate / object substring and ``Type:`` category search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 ARG_ENTITY = "entity"
 ARG_EMERGING = "emerging"
@@ -56,9 +57,9 @@ class Argument:
         return f"{self.display}{marker}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Fact:
-    """An extracted n-ary fact.
+    """An extracted n-ary fact; an immutable value.
 
     Attributes:
         subject: Subject argument.
@@ -76,12 +77,16 @@ class Fact:
 
     subject: Argument
     predicate: str
-    objects: List[Argument]
+    objects: Tuple[Argument, ...]
     pattern: str = ""
     confidence: float = 1.0
     doc_id: str = ""
     sentence_index: int = -1
     canonical_predicate: bool = False
+
+    def __post_init__(self) -> None:
+        if type(self.objects) is not tuple:
+            object.__setattr__(self, "objects", tuple(self.objects))
 
     @property
     def arity(self) -> int:
@@ -103,20 +108,6 @@ class Fact:
             self.subject.kind,
             self.subject.value,
             tuple((o.kind, o.value) for o in self.objects),
-        )
-
-    def copy(self) -> "Fact":
-        """A row of its own: fresh ``objects`` list, shared (frozen)
-        ``Argument`` instances."""
-        return Fact(
-            subject=self.subject,
-            predicate=self.predicate,
-            objects=list(self.objects),
-            pattern=self.pattern,
-            confidence=self.confidence,
-            doc_id=self.doc_id,
-            sentence_index=self.sentence_index,
-            canonical_predicate=self.canonical_predicate,
         )
 
     def to_dict(self) -> Dict:
@@ -152,9 +143,9 @@ class Fact:
         ) + ">"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmergingEntity:
-    """An out-of-repository entity discovered on the fly.
+    """An out-of-repository entity discovered on the fly; immutable.
 
     Formed from a sameAs cluster of noun-phrase mentions that could not
     be linked to the entity repository (Section 5).
@@ -162,17 +153,12 @@ class EmergingEntity:
 
     cluster_id: str
     display_name: str
-    mentions: List[str] = field(default_factory=list)
+    mentions: Tuple[str, ...] = ()
     guessed_type: str = "MISC"
 
-    def copy(self) -> "EmergingEntity":
-        """A cluster record of its own (fresh ``mentions`` list)."""
-        return EmergingEntity(
-            cluster_id=self.cluster_id,
-            display_name=self.display_name,
-            mentions=list(self.mentions),
-            guessed_type=self.guessed_type,
-        )
+    def __post_init__(self) -> None:
+        if type(self.mentions) is not tuple:
+            object.__setattr__(self, "mentions", tuple(self.mentions))
 
     def to_dict(self) -> Dict:
         """Plain-dict form for persistence."""
@@ -194,19 +180,21 @@ class EmergingEntity:
         )
 
 
-class KnowledgeBase:
-    """The on-the-fly KB: facts plus entity/mention bookkeeping."""
+class KbBuilder:
+    """The one way to populate a :class:`KnowledgeBase`.
+
+    Collects rows, then :meth:`build` seals them into an immutable KB.
+    A key → position index makes a duplicate fact O(1): it keeps the
+    first row's position and provenance and only ever raises its
+    confidence, by replacing the (frozen) row.
+    """
 
     def __init__(self) -> None:
-        self.facts: List[Fact] = []
-        self.emerging: Dict[str, EmergingEntity] = {}
-        # entity id -> mentions observed in the input documents.
-        self.entity_mentions: Dict[str, Set[str]] = {}
-        # entity id -> semantic types (with ancestors), for Type: search.
-        self.entity_types: Dict[str, List[str]] = {}
-        self._fact_keys: Set[Tuple] = set()
-
-    # ---- population ------------------------------------------------------
+        self._facts: List[Fact] = []
+        self._index: Dict[Tuple, int] = {}
+        self._emerging: Dict[str, EmergingEntity] = {}
+        self._mentions: Dict[str, Set[str]] = {}
+        self._types: Dict[str, Tuple[str, ...]] = {}
 
     def add_fact(self, fact: Fact) -> bool:
         """Add a fact unless an identical one is already present.
@@ -215,30 +203,71 @@ class KnowledgeBase:
         maximum confidence seen.
         """
         key = fact.key()
-        if key in self._fact_keys:
-            self._raise_confidence(key, fact.confidence)
-            return False
-        self._fact_keys.add(key)
-        self.facts.append(fact)
-        return True
-
-    def _raise_confidence(self, key: Tuple, confidence: float) -> None:
-        for existing in self.facts:
-            if existing.key() == key:
-                existing.confidence = max(existing.confidence, confidence)
-                break
+        position = self._index.get(key)
+        if position is None:
+            self._index[key] = len(self._facts)
+            self._facts.append(fact)
+            return True
+        existing = self._facts[position]
+        if fact.confidence > existing.confidence:
+            self._facts[position] = replace(existing, confidence=fact.confidence)
+        return False
 
     def add_emerging(self, entity: EmergingEntity) -> None:
         """Register an emerging entity cluster."""
-        self.emerging[entity.cluster_id] = entity
+        self._emerging[entity.cluster_id] = entity
 
     def observe_mention(self, entity_id: str, mention: str) -> None:
         """Record that ``mention`` referred to ``entity_id``."""
-        self.entity_mentions.setdefault(entity_id, set()).add(mention)
+        self._mentions.setdefault(entity_id, set()).add(mention)
 
     def set_entity_types(self, entity_id: str, types: Sequence[str]) -> None:
         """Attach semantic types for ``Type:`` search."""
-        self.entity_types[entity_id] = list(types)
+        self._types[entity_id] = tuple(types)
+
+    def build(self) -> "KnowledgeBase":
+        """Seal what was collected into a new immutable KB."""
+        return KnowledgeBase(
+            self._facts, self._emerging, self._mentions, self._types
+        )
+
+
+class KnowledgeBase:
+    """The on-the-fly KB: facts plus entity/mention bookkeeping.
+
+    An immutable value, built through :class:`KbBuilder` (or
+    :meth:`merge`): ``facts`` is a tuple of frozen rows; ``emerging``
+    (cluster id → cluster), ``entity_mentions`` (entity id → mentions
+    observed in the input documents, a ``frozenset``) and
+    ``entity_types`` (entity id → semantic types with ancestors, for
+    ``Type:`` search, a tuple) are read-only maps. Every consumer — the
+    stage cache's fragments, the query cache, every caller served from
+    it — shares one instance.
+    """
+
+    __slots__ = ("facts", "emerging", "entity_mentions", "entity_types")
+
+    def __init__(
+        self,
+        facts: Iterable[Fact] = (),
+        emerging: Optional[Mapping[str, EmergingEntity]] = None,
+        entity_mentions: Optional[Mapping[str, Iterable[str]]] = None,
+        entity_types: Optional[Mapping[str, Sequence[str]]] = None,
+    ) -> None:
+        mentions, types = entity_mentions or {}, entity_types or {}
+        seal = object.__setattr__
+        seal(self, "facts", tuple(facts))
+        seal(self, "emerging", MappingProxyType(dict(emerging or {})))
+        seal(self, "entity_mentions", MappingProxyType({e: frozenset(m) for e, m in mentions.items()}))
+        seal(self, "entity_types", MappingProxyType({e: tuple(t) for e, t in types.items()}))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"KnowledgeBase is immutable (.{name}); build with KbBuilder")
+
+    def __reduce__(self):
+        # MappingProxyType does not pickle: rebuild from plain containers.
+        maps = (self.emerging, self.entity_mentions, self.entity_types)
+        return KnowledgeBase, (self.facts, *map(dict, maps))
 
     # ---- introspection ----------------------------------------------------
 
@@ -295,7 +324,7 @@ class KnowledgeBase:
             wanted = query[len("Type:"):].strip().upper().replace(" ", "_")
             if argument.kind == ARG_ENTITY:
                 return wanted in {
-                    t.upper() for t in self.entity_types.get(argument.value, [])
+                    t.upper() for t in self.entity_types.get(argument.value, ())
                 }
             if argument.kind == ARG_EMERGING:
                 emerging = self.emerging.get(argument.value)
@@ -303,29 +332,22 @@ class KnowledgeBase:
             return False
         return query.lower() in argument.display.lower()
 
-    def copy(self) -> "KnowledgeBase":
-        """Deep-enough copy: mutating the copy never touches the original.
+    def with_facts(self, facts: Iterable[Fact]) -> "KnowledgeBase":
+        """This KB's entity bookkeeping around ``facts`` instead of its
+        own, deduplicated as :meth:`KbBuilder.add_fact` does."""
+        builder = KbBuilder()
+        for fact in facts:
+            builder.add_fact(fact)
+        return KnowledgeBase(
+            builder._facts, self.emerging, self.entity_mentions, self.entity_types
+        )
 
-        ``Fact`` rows are mutable (``add_fact`` raises confidences on
-        duplicates, ``merge`` folds KBs together), so the serving layer
-        hands out copies — a consumer merging a cached KB must not
-        write through to the cache. Frozen ``Argument`` instances are
-        shared; everything mutable is duplicated.
-        """
-        out = KnowledgeBase()
-        out.facts = [fact.copy() for fact in self.facts]
-        out._fact_keys = set(self._fact_keys)
-        out.emerging = {
-            cluster_id: emerging.copy()
-            for cluster_id, emerging in self.emerging.items()
-        }
-        out.entity_mentions = {
-            eid: set(mentions) for eid, mentions in self.entity_mentions.items()
-        }
-        out.entity_types = {
-            eid: list(types) for eid, types in self.entity_types.items()
-        }
-        return out
+    def copy(self) -> "KnowledgeBase":
+        """``self``: the value is immutable, so it is its own copy (as
+        ``frozenset.copy`` is). Kept only as a trace target of
+        ``benchmarks/e2e/trace.py``; goes away with ROADMAP item 7's
+        wrapper table."""
+        return self
 
     # ---- persistence -------------------------------------------------------
 
@@ -355,42 +377,43 @@ class KnowledgeBase:
     @classmethod
     def from_dict(cls, data: Dict) -> "KnowledgeBase":
         """Inverse of :meth:`to_dict`."""
-        kb = cls()
+        builder = KbBuilder()
         for fact_data in data.get("facts", []):
-            kb.add_fact(Fact.from_dict(fact_data))
+            builder.add_fact(Fact.from_dict(fact_data))
         for emerging_data in data.get("emerging", {}).values():
-            kb.add_emerging(EmergingEntity.from_dict(emerging_data))
+            builder.add_emerging(EmergingEntity.from_dict(emerging_data))
         for entity_id, mentions in data.get("entity_mentions", {}).items():
             for mention in mentions:
-                kb.observe_mention(entity_id, mention)
+                builder.observe_mention(entity_id, mention)
         for entity_id, types in data.get("entity_types", {}).items():
-            kb.set_entity_types(entity_id, types)
-        return kb
+            builder.set_entity_types(entity_id, types)
+        return builder.build()
 
-    def merge(self, other: "KnowledgeBase") -> None:
-        """Fold another KB (e.g. from a second document) into this one.
+    @classmethod
+    def merge(cls, kbs: Iterable["KnowledgeBase"]) -> "KnowledgeBase":
+        """Fold KBs (e.g. per-document fragments) into a new sealed KB.
 
-        ``other`` is only read: a new fact or emerging entity is adopted
-        as a copy and a duplicate raises the confidence of the row in
-        ``self``, so ``other`` may be shared — the pipeline merges
-        cached per-document fragments (``docs/PIPELINE.md``) — and
-        later merges into ``self`` never write through to it.
+        First occurrence wins for rows, emerging clusters and types;
+        mentions are unioned; a duplicate fact only raises the kept
+        row's confidence. Rows are shared with the inputs, never
+        copied, and a one-element fold returns its input itself — a
+        one-document answer *is* the cached fragment
+        (``docs/PIPELINE.md``).
         """
-        for fact in other.facts:
-            key = fact.key()
-            if key in self._fact_keys:
-                self._raise_confidence(key, fact.confidence)
-            else:
-                self._fact_keys.add(key)
-                self.facts.append(fact.copy())
-        for cluster_id, emerging in other.emerging.items():
-            if cluster_id not in self.emerging:
-                self.emerging[cluster_id] = emerging.copy()
-        for entity_id, mentions in other.entity_mentions.items():
-            self.entity_mentions.setdefault(entity_id, set()).update(mentions)
-        for entity_id, types in other.entity_types.items():
-            if entity_id not in self.entity_types:
-                self.entity_types[entity_id] = list(types)
+        kbs = list(kbs)
+        if len(kbs) == 1:
+            return kbs[0]
+        builder = KbBuilder()
+        for kb in kbs:
+            for fact in kb.facts:
+                builder.add_fact(fact)
+            for cluster_id, emerging in kb.emerging.items():
+                builder._emerging.setdefault(cluster_id, emerging)
+            for entity_id, mentions in kb.entity_mentions.items():
+                builder._mentions.setdefault(entity_id, set()).update(mentions)
+            for entity_id, types in kb.entity_types.items():
+                builder._types.setdefault(entity_id, types)
+        return builder.build()
 
 
 __all__ = [
@@ -402,5 +425,6 @@ __all__ = [
     "Argument",
     "EmergingEntity",
     "Fact",
+    "KbBuilder",
     "KnowledgeBase",
 ]

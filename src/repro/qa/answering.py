@@ -78,18 +78,18 @@ class QaSystem:
 
     def build_question_kb(self, question: QaQuestion) -> KnowledgeBase:
         """Retrieve documents for the question and build its ad-hoc KB."""
-        kb = KnowledgeBase()
+        parts = []
         if self.use_wikipedia:
-            kb.merge(
+            parts.append(
                 self.qkbfly.build_kb(question.query, source="wikipedia", num_documents=1)
             )
         if self.use_news:
-            kb.merge(
+            parts.append(
                 self.qkbfly.build_kb(
                     question.question, source="news", num_documents=self.num_news
                 )
             )
-        return kb
+        return KnowledgeBase.merge(parts)
 
     # ------------------------------------------------------------------
     # Step 3: candidates with type filter

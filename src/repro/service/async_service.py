@@ -189,8 +189,8 @@ class AsyncQKBflyService:
         control (rate *and* cost budgets checked before any tier is
         consulted, queue-depth shedding before a new flight is
         started), the same typed error taxonomy, the same envelope out.
-        The returned :class:`QueryResult` carries a private KB copy, so
-        callers may mutate it freely.
+        The returned :class:`QueryResult`'s KB is the shared immutable
+        value the cache holds.
         """
         started = time.perf_counter()
         self._check_loop()
@@ -260,8 +260,8 @@ class AsyncQKBflyService:
 
         Duplicates within the batch (and against any other in-flight
         request) collapse onto one pipeline run via the executor's
-        single-flight table; every result slot still gets its own KB
-        copy. Like the sync :meth:`QKBflyService.serve_batch`, nothing
+        single-flight table; every result slot gets its own envelope
+        around the one shared KB. Like the sync :meth:`QKBflyService.serve_batch`, nothing
         raises: each slot independently carries its status/error
         envelope, and every slot's deadline counts from batch entry.
         """

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.faultinject.points import fault_point
-from repro.kb.facts import Argument, EmergingEntity, Fact, KnowledgeBase
+from repro.kb.facts import Argument, EmergingEntity, Fact, KbBuilder, KnowledgeBase
 from repro.service.api import SearchUnavailable
 from repro.service.search.index import (
     ensure_search_schema,
@@ -462,7 +462,7 @@ class KbStore:
         return self._load_entry(row[0])
 
     def _load_entry(self, entry_id: int) -> KnowledgeBase:
-        kb = KnowledgeBase()
+        kb = KbBuilder()
         fact_rows = self._conn.execute(
             "SELECT fact_id, subject_kind, subject_value, subject_display, "
             "predicate, pattern, confidence, canonical_predicate, doc_id, "
@@ -534,7 +534,7 @@ class KbStore:
                 kb.observe_mention(entity_id, mention)
             if types is not None:
                 kb.set_entity_types(entity_id, json.loads(types))
-        return kb
+        return kb.build()
 
     # ---- fact search -------------------------------------------------------
 

@@ -76,9 +76,8 @@ class PipelineRequest:
 class PipelineResponse:
     """Picklable envelope for one pipeline result.
 
-    The KB crosses the process boundary as its ``to_dict`` payload;
-    every consumer rebuilds a private :class:`KnowledgeBase` from it,
-    so two callers joined on one flight can never alias mutations.
+    The KB crosses the process boundary as its ``to_dict`` payload and
+    is rebuilt as a sealed :class:`KnowledgeBase` on this side.
     """
 
     kb_payload: Dict
@@ -86,7 +85,7 @@ class PipelineResponse:
     seconds: float
 
     def to_kb(self) -> KnowledgeBase:
-        """A fresh private KnowledgeBase for one consumer."""
+        """The sealed KnowledgeBase the payload encodes."""
         return KnowledgeBase.from_dict(self.kb_payload)
 
     def to_dict(self) -> Dict:
@@ -253,8 +252,7 @@ class ProcessBatchExecutor:
     def run_batch(
         self, requests: Sequence[PipelineRequest]
     ) -> List[KnowledgeBase]:
-        """Run envelopes concurrently; KBs come back in input order,
-        each consumer slot rebuilt privately from the shared payload."""
+        """Run envelopes concurrently; KBs come back in input order."""
         responses = self._batch.run_batch(list(requests))
         return [response.to_kb() for response in responses]
 

@@ -47,7 +47,7 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -643,10 +643,9 @@ class QKBflyService:
         """Serve many envelopes concurrently; one envelope per slot.
 
         Results come back in input order; duplicated requests are
-        computed once, but every result slot gets its own KB copy so no
-        caller's mutation can leak into another slot — including slots
-        of a *different* concurrent batch that joined the same
-        in-flight computation.
+        computed once — also across a *different* concurrent batch that
+        joined the same in-flight computation — and every slot gets its
+        own envelope around the one shared, immutable KB.
 
         Unlike :meth:`serve`, nothing raises: admission rejections,
         timeouts, and pipeline failures each become an *error envelope
@@ -799,7 +798,7 @@ class QKBflyService:
         An already finished envelope passes through. A flight is read
         with what remains of the request's deadline — or, for an
         event-loop driver (``on_loop``) that has already awaited it,
-        without blocking at all — and becomes a per-consumer copy; a
+        without blocking at all — and gets the caller's envelope; a
         flight still running means the deadline expired (the
         computation keeps going and will still fill the cache).
         """
@@ -822,12 +821,7 @@ class QKBflyService:
             raise
         except Exception as error:
             raise wrap_failure(request, error) from error
-        result = self._result_copy(
-            shared,
-            seconds=time.perf_counter() - started,
-            query=request.query,
-            client_id=request.client_id,
-        )
+        result = self._result_copy(shared, request, started)
         # An event loop never swaps pools inline; its driver applies
         # pending autoscale decisions off the loop afterwards.
         if not on_loop:
@@ -860,7 +854,7 @@ class QKBflyService:
         return QueryResult(
             query=request.query,
             normalized_query=key.query,
-            kb=kb.copy(),
+            kb=kb,
             corpus_version=key.corpus_version,
             cache_hit=True,
             seconds=time.perf_counter() - started,
@@ -878,31 +872,17 @@ class QKBflyService:
 
     @staticmethod
     def _result_copy(
-        shared: QueryResult,
-        seconds: Optional[float] = None,
-        query: Optional[str] = None,
-        client_id: Optional[str] = None,
+        shared: QueryResult, request: QueryRequest, started: float
     ) -> QueryResult:
-        """Per-consumer view of a possibly shared in-flight result.
-
-        ``query`` and ``client_id`` restore the caller's own raw query
-        string and identity — a shared result carries whichever caller
-        happened to compute it.
-        """
-        return QueryResult(
-            query=shared.query if query is None else query,
-            normalized_query=shared.normalized_query,
-            kb=shared.kb.copy(),
-            corpus_version=shared.corpus_version,
-            cache_hit=shared.cache_hit,
-            store_hit=shared.store_hit,
-            seconds=shared.seconds if seconds is None else seconds,
-            status=shared.status,
-            client_id=shared.client_id if client_id is None else client_id,
-            request_key=shared.request_key,
-            store_seconds=shared.store_seconds,
-            pipeline_seconds=shared.pipeline_seconds,
-            entity_versions=shared.entity_versions,
+        """The caller's envelope around a possibly shared in-flight
+        result: its own raw query string, identity and wall time — a
+        shared result carries whichever caller happened to compute it.
+        The KB itself is immutable and shared."""
+        return replace(
+            shared,
+            query=request.query,
+            client_id=request.client_id,
+            seconds=time.perf_counter() - started,
         )
 
     def _failure(
@@ -1045,7 +1025,7 @@ class QKBflyService:
         return QueryResult(
             query=request.query,
             normalized_query=key.query,
-            kb=kb.copy(),
+            kb=kb,
             corpus_version=key.corpus_version,
             store_hit=True,
             seconds=time.perf_counter() - started,
@@ -1060,10 +1040,9 @@ class QKBflyService:
 
         Returns the *canonical* ``KnowledgeBase`` (also held by the
         cache); the result may be shared by every caller that joined
-        this in-flight computation, so ``serve``/``serve_batch`` wrap
-        it in a per-consumer copy via :meth:`_result_copy` — merging or
-        mutating a served KB (as the QA system does) must never write
-        through into the cache or another caller's result.
+        this in-flight computation, so ``serve``/``serve_batch`` give
+        each caller its own envelope via :meth:`_result_copy`. The KB
+        is immutable, so every caller shares it.
         """
         request, key = request_tuple
         started = time.perf_counter()

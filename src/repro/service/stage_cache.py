@@ -45,9 +45,10 @@ Cached values are shared across queries and across the worker threads
 of one deployment, so consumers must treat them as **read-only** —
 the same contract the shared :class:`~repro.core.qkbfly.SessionState`
 already imposes (and the cross-query parity tests verify). For
-fragments that is :meth:`KnowledgeBase.merge
-<repro.kb.facts.KnowledgeBase.merge>`'s contract: it copies what it
-adopts.
+fragments that holds by construction: a
+:class:`~repro.kb.facts.KnowledgeBase` is an immutable value, and
+:meth:`KnowledgeBase.merge <repro.kb.facts.KnowledgeBase.merge>` shares
+the rows it adopts.
 
 A :class:`StageCache` itself is not pickled (its entries may be large
 and are process-local); :meth:`StageCache.spec` captures its *policy*

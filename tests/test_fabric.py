@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.faultinject.points import SimulatedCrash, inject
 from repro.faultinject.schedule import FaultAction, FaultSchedule
-from repro.kb.facts import ARG_ENTITY, Argument, Fact, KnowledgeBase
+from repro.kb.facts import ARG_ENTITY, Argument, Fact, KbBuilder, KnowledgeBase
 from repro.service.fabric import (
     Fabric,
     MAX_FRAME_BYTES,
@@ -57,7 +57,7 @@ from repro.service.sharding import SERVING_MARKER_NAME, ShardedKbStore
 
 
 def _kb(tag: str) -> KnowledgeBase:
-    kb = KnowledgeBase()
+    kb = KbBuilder()
     kb.add_fact(
         Fact(
             subject=Argument(ARG_ENTITY, f"E_{tag}", tag.title()),
@@ -69,7 +69,7 @@ def _kb(tag: str) -> KnowledgeBase:
             sentence_index=0,
         )
     )
-    return kb
+    return kb.build()
 
 
 @pytest.fixture()

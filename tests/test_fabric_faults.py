@@ -30,12 +30,12 @@ from repro.faultinject.fabric_harness import (
 from repro.faultinject.harness import PROCESS_POINT
 from repro.faultinject.points import CATALOG, inject
 from repro.faultinject.schedule import FaultAction, FaultSchedule
-from repro.kb.facts import ARG_ENTITY, Argument, Fact, KnowledgeBase
+from repro.kb.facts import ARG_ENTITY, Argument, Fact, KbBuilder, KnowledgeBase
 from repro.service.fabric import RemoteKbStore, ShardServer
 
 
 def _kb(tag: str) -> KnowledgeBase:
-    kb = KnowledgeBase()
+    kb = KbBuilder()
     kb.add_fact(
         Fact(
             subject=Argument(ARG_ENTITY, f"E_{tag}", tag.title()),
@@ -47,7 +47,7 @@ def _kb(tag: str) -> KnowledgeBase:
             sentence_index=0,
         )
     )
-    return kb
+    return kb.build()
 
 #: A seed whose generated schedule actually fires fabric faults in the
 #: scenario (verified by the sweep tally; asserted below so drift in

@@ -50,11 +50,11 @@ from repro.faultinject.schedule import (
     FaultSchedule,
     minimize,
 )
-from repro.kb.facts import ARG_ENTITY, Argument, Fact, KnowledgeBase
+from repro.kb.facts import ARG_ENTITY, Argument, Fact, KbBuilder, KnowledgeBase
 
 
 def _kb(tag: str) -> KnowledgeBase:
-    kb = KnowledgeBase()
+    kb = KbBuilder()
     kb.add_fact(
         Fact(
             subject=Argument(ARG_ENTITY, f"E_{tag}", tag.title()),
@@ -66,7 +66,7 @@ def _kb(tag: str) -> KnowledgeBase:
             sentence_index=0,
         )
     )
-    return kb
+    return kb.build()
 
 
 def _serve_event(

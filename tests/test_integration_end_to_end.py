@@ -86,10 +86,9 @@ class TestVariantOrderings:
     def test_higher_arity_share(self, tiny_world):
         docs = build_defie_wikipedia(tiny_world, num_documents=10)
         system = QKBfly.from_world(tiny_world, with_search=False)
-        merged = KnowledgeBase()
-        for doc in docs:
-            kb, _ = system.process_text(doc.text, doc_id=doc.doc_id)
-            merged.merge(kb)
+        merged = KnowledgeBase.merge(
+            system.process_text(doc.text, doc_id=doc.doc_id)[0] for doc in docs
+        )
         # The paper reports roughly a third of extractions are
         # higher-arity; ours should at least produce a healthy share.
         assert len(merged.higher_arity_facts()) > 0

@@ -162,8 +162,8 @@ def test_concurrent_identical_cold_queries_run_pipeline_once(
     assert stats["executor"]["submitted"] == 1
     assert stats["executor"]["deduplicated"] == 1
     assert first.kb.to_dict() == second.kb.to_dict()
-    # Shared flight, private copies: mutating one result must not leak.
-    assert first.kb is not second.kb
+    # Shared flight, one immutable KB, an envelope per caller.
+    assert first.kb is second.kb and first is not second
 
 
 def test_batch_deduplicates_and_preserves_order(service_session):

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
+from dataclasses import FrozenInstanceError, replace
+
+import pytest
 
 from repro.core.qkbfly import QKBfly
+from repro.kb.facts import KnowledgeBase
 from repro.service.api import QueryRequest
 from repro.service.cache import QueryCache
 from repro.service.executor import BatchExecutor
@@ -234,27 +238,34 @@ def test_build_kb_is_cached_drop_in(service_session):
     with _service(service_session) as service:
         first = service.build_kb(query, source="wikipedia", num_documents=1)
         second = service.build_kb(query, source="wikipedia", num_documents=1)
-        assert second is not first  # served KBs are defensive copies
+        assert second is first  # the cached, immutable value itself
         assert second.to_dict() == first.to_dict()
         assert service.pipeline_runs == 1
 
 
 def test_served_kb_mutation_cannot_poison_cache(service_session):
-    """Merging a duplicate fact into a served KB must not write through."""
+    """A served KB cannot be mutated, so it cannot poison the cache:
+    every attempt raises, and merging a duplicate with a higher
+    confidence into it makes a new value."""
     query = _query_names(service_session, 1)[0]
     with _service(service_session) as service:
         first = service.build_kb(query, source="wikipedia", num_documents=1)
         baseline = first.to_dict()
-        # Consumer-style mutation: re-add an existing fact with a higher
-        # confidence (what KnowledgeBase.merge does on duplicates).
-        from repro.kb.facts import Fact
-
-        bumped = Fact.from_dict(first.facts[0].to_dict())
-        bumped.confidence = 1.0
-        first.add_fact(bumped)
-        first.observe_mention("E_POISON", "poison")
+        fact = first.facts[0]
+        for attempt in (
+            lambda: setattr(fact, "confidence", 1.0),
+            lambda: first.facts.append(fact),
+            lambda: first.add_fact(fact),
+            lambda: setattr(first, "facts", ()),
+            lambda: first.entity_mentions.__setitem__("E_POISON", {"poison"}),
+        ):
+            with pytest.raises((FrozenInstanceError, TypeError, AttributeError)):
+                attempt()
+        bumped = KnowledgeBase([replace(fact, confidence=1.0)])
+        merged = KnowledgeBase.merge([first, bumped])
+        assert merged is not first and merged.facts[0].confidence == 1.0
         again = service.build_kb(query, source="wikipedia", num_documents=1)
-        assert again.to_dict() == baseline
+        assert again is first and again.to_dict() == baseline
 
 
 def test_refresh_corpus_invalidates_cache_and_store(service_session, tmp_path):

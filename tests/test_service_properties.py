@@ -17,7 +17,7 @@ from repro.faultinject.checker import (
     MonotonicFreshnessChecker,
 )
 from repro.faultinject.history import HistoryRecorder
-from repro.kb.facts import ARG_ENTITY, Argument, Fact, KnowledgeBase
+from repro.kb.facts import ARG_ENTITY, Argument, Fact, KbBuilder, KnowledgeBase
 from repro.service.cache import CacheKey, QueryCache
 from repro.service.ingest.match import (
     EntityMatcher,
@@ -50,7 +50,7 @@ _SIGNATURES = st.fixed_dictionaries(
 
 
 def _kb(tag: str) -> KnowledgeBase:
-    kb = KnowledgeBase()
+    kb = KbBuilder()
     kb.add_fact(
         Fact(
             subject=Argument(ARG_ENTITY, "E", tag),
@@ -62,7 +62,7 @@ def _kb(tag: str) -> KnowledgeBase:
             sentence_index=0,
         )
     )
-    return kb
+    return kb.build()
 
 
 # ---- shard routing ----------------------------------------------------------

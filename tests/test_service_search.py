@@ -33,6 +33,7 @@ from repro.kb.facts import (
     Argument,
     EmergingEntity,
     Fact,
+    KbBuilder,
     KnowledgeBase,
 )
 from repro.service.api import (
@@ -58,7 +59,7 @@ from test_service_gateway import HttpClient, _top_queries
 
 def _kb(tag: str, *, extra: str = "") -> KnowledgeBase:
     """One distinctive fact per KB so walks can account for each save."""
-    kb = KnowledgeBase()
+    kb = KbBuilder()
     kb.add_fact(
         Fact(
             subject=Argument(ARG_ENTITY, f"E_{tag}", f"Subject {tag}"),
@@ -80,7 +81,7 @@ def _kb(tag: str, *, extra: str = "") -> KnowledgeBase:
     )
     kb.observe_mention(f"E_{tag}", f"Subject {tag}")
     kb.set_entity_types(f"E_{tag}", ["PERSON"])
-    return kb
+    return kb.build()
 
 
 def _walk(store, kind="facts", limit=3, **kwargs):

@@ -7,14 +7,14 @@ import sqlite3
 
 import pytest
 
-from repro.kb.facts import ARG_ENTITY, Argument, Fact, KnowledgeBase
+from repro.kb.facts import ARG_ENTITY, Argument, Fact, KbBuilder, KnowledgeBase
 from repro.service.kb_store import KbStore
 from repro.service.sharding import ShardedKbStore, shard_index
 
 
 def _kb(tag: str) -> KnowledgeBase:
     """A tiny KB whose content encodes ``tag`` (leak detection)."""
-    kb = KnowledgeBase()
+    kb = KbBuilder()
     kb.add_fact(
         Fact(
             subject=Argument(ARG_ENTITY, f"E_{tag}", tag.title()),
@@ -26,7 +26,7 @@ def _kb(tag: str) -> KnowledgeBase:
             sentence_index=0,
         )
     )
-    return kb
+    return kb.build()
 
 
 @pytest.fixture()

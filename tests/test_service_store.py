@@ -12,6 +12,7 @@ from repro.kb.facts import (
     Argument,
     EmergingEntity,
     Fact,
+    KbBuilder,
     KnowledgeBase,
 )
 from repro.service.kb_store import KbStore
@@ -24,7 +25,7 @@ def store(tmp_path):
 
 
 def _hand_built_kb() -> KnowledgeBase:
-    kb = KnowledgeBase()
+    kb = KbBuilder()
     kb.add_fact(
         Fact(
             subject=Argument(ARG_ENTITY, "E1", "Alice Stone"),
@@ -62,7 +63,7 @@ def _hand_built_kb() -> KnowledgeBase:
     kb.observe_mention("E1", "Alice Stone")
     kb.observe_mention("E1", "she")
     kb.set_entity_types("E1", ["ACTOR", "PERSON"])
-    return kb
+    return kb.build()
 
 
 def test_round_trip_hand_built_kb(store):
@@ -101,8 +102,7 @@ def test_missing_key_and_variant_separation(store):
 def test_save_replaces_existing_entry(store):
     kb = _hand_built_kb()
     store.save("q", kb, corpus_version="v1")
-    smaller = KnowledgeBase()
-    smaller.add_fact(kb.facts[0])
+    smaller = KnowledgeBase(kb.facts[:1])
     store.save("q", smaller, corpus_version="v1")
     loaded = store.load("q", corpus_version="v1")
     assert loaded.to_dict() == smaller.to_dict()

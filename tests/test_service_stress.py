@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 import threading
 
-from repro.kb.facts import ARG_ENTITY, Argument, Fact, KnowledgeBase
+import pytest
+
+from repro.kb.facts import ARG_ENTITY, Argument, Fact, KbBuilder, KnowledgeBase
 from repro.service.cache import CacheKey, QueryCache
 from repro.service.sharding import ShardedKbStore
 
@@ -23,7 +25,7 @@ OPS_PER_THREAD = 120
 def _kb_for(query: str, revision: int) -> KnowledgeBase:
     """A KB whose every field encodes its (query, revision) identity, so
     a load can detect torn writes and cross-key leakage."""
-    kb = KnowledgeBase()
+    kb = KbBuilder()
     kb.add_fact(
         Fact(
             subject=Argument(ARG_ENTITY, f"E_{query}", query),
@@ -36,7 +38,7 @@ def _kb_for(query: str, revision: int) -> KnowledgeBase:
         )
     )
     kb.observe_mention(f"E_{query}", query)
-    return kb
+    return kb.build()
 
 
 def _check_kb_identity(query: str, kb: KnowledgeBase) -> None:
@@ -293,3 +295,92 @@ def test_engine_snapshots_survive_concurrent_ingests(tiny_world, background):
     assert len(engines) > 1, "readers never saw an ingest land"
     for engine, query, source, first in snapshots:
         assert answer(engine, query, source) == first
+
+
+def test_one_hot_key_is_one_shared_value_across_8_threads(service_session):
+    """Eight threads — four through ``serve``, four each driving the
+    async front end on a loop of their own — hammer one cold key. They
+    all receive the one cached KB object (no defensive copy per
+    caller), every write attempt on it raises, and its content after
+    the storm equals a fresh build's."""
+    import asyncio
+    from dataclasses import FrozenInstanceError
+
+    from repro.core.qkbfly import QKBfly
+    from repro.service.api import QueryRequest
+    from repro.service.async_service import AsyncQKBflyService
+    from repro.service.service import QKBflyService, ServiceConfig
+
+    name = max(
+        service_session.entity_repository.entities(), key=lambda e: e.prominence
+    ).canonical_name
+    expected = QKBfly.from_session(service_session).build_kb(name, num_documents=2)
+    serves_per_thread = 10
+    service = QKBflyService(
+        service_session, service_config=ServiceConfig(max_workers=4, num_documents=2)
+    )
+    start = threading.Barrier(NUM_THREADS)
+    kbs, errors = [], []
+
+    def check(kb) -> None:
+        with pytest.raises(FrozenInstanceError):
+            kb.facts[0].confidence = 0.0
+        with pytest.raises(TypeError):
+            kb.entity_types["E_POISON"] = ("poison",)
+        kbs.append(kb)
+
+    def sync_caller() -> None:
+        try:
+            start.wait()
+            for _ in range(serves_per_thread):
+                check(service.serve(QueryRequest(query=name)).kb)
+        except Exception as error:  # pragma: no cover - failure path
+            errors.append(error)
+
+    def async_caller() -> None:
+        async def run() -> None:
+            front = AsyncQKBflyService(service, dispatch_workers=1)
+            try:
+                start.wait()
+                for _ in range(serves_per_thread):
+                    check((await front.serve(QueryRequest(query=name))).kb)
+            finally:
+                await front.aclose()
+
+        try:
+            asyncio.run(run())
+        except Exception as error:  # pragma: no cover - failure path
+            errors.append(error)
+
+    with service:
+        threads = [threading.Thread(target=sync_caller) for _ in range(4)]
+        threads += [threading.Thread(target=async_caller) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "hot-key thread deadlocked"
+        assert not errors, errors
+        assert len(kbs) == NUM_THREADS * serves_per_thread
+        assert len({id(kb) for kb in kbs}) == 1
+        assert service.pipeline_runs == 1
+        assert kbs[0].to_dict() == expected.to_dict()
+
+
+def _echo(value):
+    return value
+
+
+def test_sealed_kb_pickles_through_a_process_pool():
+    """A sealed KB crosses a process boundary (the process tier's
+    ``ProcessPoolExecutor``) and comes back equal and still sealed."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    kb = _kb_for("q", 3)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        clone = pool.submit(_echo, kb).result(timeout=60)
+    assert clone is not kb and clone.to_dict() == kb.to_dict()
+    with pytest.raises(TypeError):
+        clone.entity_mentions["E_q"] = frozenset()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import pickle
 import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -408,22 +409,38 @@ def test_two_configs_over_one_session_never_share_fragments(
 
 
 def test_served_kb_never_writes_through_to_a_cached_fragment(stage_session):
+    """The answer shares its cached fragments' rows, and no part of it
+    can be written: every mutation attempt raises."""
     stage_session.stage_cache = StageCache()
     qkbfly = QKBfly.from_session(stage_session)
     name = _query_names(stage_session, 1)[0]
     first = qkbfly.build_kb(name, num_documents=2)
     assert stage_session.stage_cache.stats()["stages"][STAGE_FRAGMENT]["puts"] == 2
     expected = first.to_dict()
+    fragments = [
+        qkbfly.document_fragment(document)
+        for document in qkbfly._retrieval_stage(name, "wikipedia", 2)
+    ]
+    shared = {id(fact) for fragment in fragments for fact in fragment.facts}
+    assert first.facts and all(id(fact) in shared for fact in first.facts)
     for fact in first.facts:
-        fact.confidence = 0.0
-        fact.objects.clear()
+        with pytest.raises(FrozenInstanceError):
+            fact.confidence = 0.0
+        with pytest.raises(AttributeError):
+            fact.objects.clear()
     for emerging in first.emerging.values():
-        emerging.mentions.append("scribble")
+        with pytest.raises(AttributeError):
+            emerging.mentions.append("scribble")
     for mentions in first.entity_mentions.values():
-        mentions.add("scribble")
+        with pytest.raises(AttributeError):
+            mentions.add("scribble")
     for types in first.entity_types.values():
-        types.append("scribble")
-    first.merge(qkbfly.build_kb(_query_names(stage_session, 2)[1]))
+        with pytest.raises(AttributeError):
+            types.append("scribble")
+    with pytest.raises(TypeError):
+        first.entity_types["E_SCRIBBLE"] = ("scribble",)
+    with pytest.raises(TypeError):  # merge folds KBs into a new one
+        first.merge(qkbfly.build_kb(_query_names(stage_session, 2)[1]))
     assert qkbfly.build_kb(name, num_documents=2).to_dict() == expected
 
 
