@@ -100,8 +100,7 @@ async def main() -> None:
             f"\nServed {final['async']['answered']} requests: "
             f"{final['async']['loop_cache_hits']} on-loop cache hits, "
             f"{final['executor']['submitted']} flights, "
-            f"{final['pipeline_runs']} pipeline runs "
-            f"(executor tier: {final['executor_kind']})"
+            f"{final['pipeline_runs']} pipeline runs"
         )
 
 

@@ -126,13 +126,6 @@ class SessionState:
     results from a stale corpus are never returned. It is computed
     lazily on first access — pipelines that never touch the serving
     layer don't pay for corpus-wide fingerprinting.
-
-    A session is **picklable**, which is what lets the serving layer's
-    multi-process executor bootstrap one per worker. The NLP pipeline is
-    derived state (parser name + a gazetteer snapshot of the entity
-    repository), so it is excluded from the pickle and rebuilt lazily
-    in the receiving process — pickles stay small and can never be
-    poisoned by transient pipeline caches.
     """
 
     def __init__(
@@ -153,7 +146,11 @@ class SessionState:
         self.parser = parser
         self._corpus_version = corpus_version
         self._nlp = nlp
-        self._stage_cache = stage_cache
+        # The shared stage-level cache, or None when disabled. Installed
+        # by the serving layer (ServiceConfig's stage-cache knobs) and
+        # shared by every QKBfly and service over this session; see
+        # repro.service.stage_cache and docs/PIPELINE.md.
+        self.stage_cache: Optional["StageCache"] = stage_cache
         # id(piece) -> (piece, its fingerprint); see :meth:`fingerprint_of`.
         self._fingerprints: Dict[int, Tuple[object, str]] = {}
         # Per-entity version vector, installed by the serving layer's
@@ -161,22 +158,6 @@ class SessionState:
         # EntityVersionVector`); None outside a serving deployment.
         # The retrieval stage folds its query slice into signatures.
         self.entity_versions = None
-
-    @property
-    def stage_cache(self) -> Optional["StageCache"]:
-        """The shared stage-level cache, or None when disabled.
-
-        Installed by the serving layer
-        (:class:`~repro.service.service.ServiceConfig` stage-cache
-        knobs) and shared by every :class:`QKBfly` and service over
-        this session; see :mod:`repro.service.stage_cache` and
-        ``docs/PIPELINE.md``.
-        """
-        return self._stage_cache
-
-    @stage_cache.setter
-    def stage_cache(self, cache: Optional["StageCache"]) -> None:
-        self._stage_cache = cache
 
     @property
     def nlp(self) -> NlpPipeline:
@@ -193,27 +174,6 @@ class SessionState:
     @nlp.setter
     def nlp(self, pipeline: Optional[NlpPipeline]) -> None:
         self._nlp = pipeline
-
-    def __getstate__(self) -> Dict:
-        state = self.__dict__.copy()
-        state["_nlp"] = None  # derived; rebuilt lazily after unpickling
-        state["_fingerprints"] = {}  # keyed on object identity
-        # The version vector is serving-process state (and carries a
-        # lock): workers see None and use the empty versions token.
-        state["entity_versions"] = None
-        cache = state.get("_stage_cache")
-        if cache is not None:
-            # Entries are process-local (and potentially large); only
-            # the eviction policy crosses the pickle boundary, so every
-            # process-pool worker rebuilds an empty cache with the same
-            # limits.
-            state["_stage_cache"] = cache.spec()
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        spec = state.pop("_stage_cache", None)
-        self.__dict__.update(state)
-        self._stage_cache = spec.build() if spec is not None else None
 
     def fingerprint_of(self, piece) -> str:
         """``piece.fingerprint()``, memoised per object — ``piece`` is
@@ -470,8 +430,7 @@ class QKBfly:
         # slice relevant to this query joins the signature, so an
         # ingest touching the query's entities makes the old ranking
         # unreachable while every other query's entry stays addressed.
-        # Sessions without the serving layer (or process-pool workers,
-        # whose vector is not pickled) contribute the empty token.
+        # Sessions without the serving layer contribute the empty token.
         vector = getattr(self.session, "entity_versions", None)
         versions_token = (
             vector.token_for_query(normalized) if vector is not None else ""

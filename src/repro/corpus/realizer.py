@@ -96,7 +96,8 @@ class RealizedDocument:
         return [m for m in self.mentions if not m.is_pronoun]
 
     def __getstate__(self) -> Dict:
-        # Derived and re-derivable: keeps session pickles small.
+        # Derived and re-derivable: the stage cache weighs values by
+        # pickle size, which should count the document, not its memo.
         state = self.__dict__.copy()
         state.pop(TOKENS_MEMO, None)
         return state

@@ -28,9 +28,10 @@ rebalance running while clients keep serving. The phases:
    and nothing later may drop it); and the full recorded history must
    pass :class:`~repro.faultinject.checker.MonotonicFreshnessChecker`.
 
-Same determinism contract as the base harness: the schedule is a pure
-function of its seed (:func:`fabric_schedule_for_seed`), so a red seed
-replays to the same verdict.
+Same determinism contract as the base harness — and the same schedule:
+:func:`~repro.faultinject.harness.schedule_for_seed` draws from the
+whole catalog, fabric points included, so a red seed replays to the
+same verdict.
 """
 
 from __future__ import annotations
@@ -42,16 +43,16 @@ from typing import Any, List, Optional
 
 from repro.faultinject.checker import MonotonicFreshnessChecker
 from repro.faultinject.harness import (
-    PROCESS_POINT,
     VERSION_TWO,
     ScenarioReport,
     _bundle,
     _fresh_session,
     _request_key,
     _StoreServe,
+    schedule_for_seed,
 )
 from repro.faultinject.history import EVENT_SERVE, HistoryRecorder
-from repro.faultinject.points import CATALOG, SimulatedCrash, inject
+from repro.faultinject.points import SimulatedCrash, inject
 from repro.faultinject.schedule import FaultSchedule
 
 #: Shard/replica shape of the scenario's fabric deployment.
@@ -61,21 +62,9 @@ FABRIC_REPLICATION = 2
 FABRIC_REBALANCE_TO = 4
 
 
-def fabric_schedule_for_seed(seed: int) -> FaultSchedule:
-    """The fabric scenario's deterministic schedule for ``seed``.
-
-    The process-pool point is always excluded (the fabric's own server
-    processes are the multi-process dimension under test here); every
-    other catalog point — including the fabric transport, server,
-    replication, and online-rebalance points — stays eligible.
-    """
-    points = [name for name in CATALOG if name != PROCESS_POINT]
-    return FaultSchedule.generate(seed, points=points)
-
-
 def run_fabric_scenario(seed: int) -> ScenarioReport:
     """Generate ``seed``'s schedule and run the fabric scenario."""
-    return run_fabric_schedule(fabric_schedule_for_seed(seed))
+    return run_fabric_schedule(schedule_for_seed(seed))
 
 
 def run_fabric_schedule(schedule: FaultSchedule) -> ScenarioReport:
@@ -301,7 +290,6 @@ __all__ = [
     "FABRIC_REBALANCE_TO",
     "FABRIC_REPLICATION",
     "FABRIC_SHARDS",
-    "fabric_schedule_for_seed",
     "run_fabric_scenario",
     "run_fabric_schedule",
     "run_fabric_schedules",

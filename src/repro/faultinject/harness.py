@@ -47,14 +47,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faultinject.checker import MonotonicFreshnessChecker, Violation
 from repro.faultinject.history import HistoryRecorder, kb_digest
-from repro.faultinject.points import CATALOG, SimulatedCrash, inject
+from repro.faultinject.points import SimulatedCrash, inject
 from repro.faultinject.schedule import FaultSchedule
-
-#: The one injection point that needs a live process pool; schedules
-#: for seeds not divisible by :data:`PROCESS_SEED_MODULUS` exclude it
-#: (and the scenario then runs the much cheaper thread tier).
-PROCESS_POINT = "process_executor.submit"
-PROCESS_SEED_MODULUS = 5
 
 #: Explicit corpus versions the scenario refreshes through — explicit
 #: so the recorded refresh chain (and thus the checker's version order)
@@ -105,19 +99,10 @@ def _fresh_session():
 
 
 def schedule_for_seed(seed: int) -> FaultSchedule:
-    """The scenario's deterministic schedule for ``seed``.
-
-    Most seeds exclude :data:`PROCESS_POINT` so the scenario runs the
-    thread tier; every :data:`PROCESS_SEED_MODULUS`-th seed keeps the
-    full catalog and runs a real process pool (worker kills included).
-    The restriction is a pure function of the seed, so replaying a seed
-    regenerates the identical schedule.
-    """
-    if seed % PROCESS_SEED_MODULUS == 0:
-        points = None
-    else:
-        points = [name for name in CATALOG if name != PROCESS_POINT]
-    return FaultSchedule.generate(seed, points=points)
+    """The scenario's deterministic schedule for ``seed``, drawn from
+    the whole catalog (pure function: replaying a seed regenerates the
+    identical schedule)."""
+    return FaultSchedule.generate(seed)
 
 
 @dataclass(frozen=True)
@@ -204,7 +189,6 @@ def _run_phases(
     from repro.service.sharding import ShardedKbStore
 
     _, _, queries = _bundle()
-    use_process = any(a.point == PROCESS_POINT for a in schedule.actions)
     store_dir = os.path.join(tmpdir, "store")
     counts = report.counts
     counts.update(
@@ -229,8 +213,6 @@ def _run_phases(
             num_documents=1,
             store_path=store_dir,
             store_shards=2,
-            executor="process" if use_process else "thread",
-            process_workers=2 if use_process else None,
         ),
     )
     service.attach_history(recorder)
@@ -389,8 +371,6 @@ def run_schedules(
 
 
 __all__ = [
-    "PROCESS_POINT",
-    "PROCESS_SEED_MODULUS",
     "ScenarioReport",
     "run_scenario",
     "run_schedule",

@@ -1,13 +1,13 @@
 """Deterministic fault-injection points for the serving tier.
 
 The serving layer's crash-safety claims (atomic saves, recoverable
-rebalance swaps, typed failures from killed workers, race-free pool
-resizes) were asserted in docstrings; this module makes them
-*executable*. Production modules call :func:`fault_point` at the
-crash-prone spots named in :data:`CATALOG`; with no schedule armed the
-call is a single module-global ``None`` check — nothing is allocated,
-no lock is taken — so the hooks are effectively compiled out of normal
-serving (``benchmarks/e2e`` measures with the hooks in place). Arming a
+rebalance swaps, race-free pool resizes) were asserted in docstrings;
+this module makes them *executable*. Production modules call
+:func:`fault_point` at the crash-prone spots named in :data:`CATALOG`;
+with no schedule armed the call is a single module-global ``None``
+check — nothing is allocated, no lock is taken — so the hooks are
+effectively compiled out of normal serving (``benchmarks/e2e``
+measures with the hooks in place). Arming a
 :class:`~repro.faultinject.schedule.FaultSchedule` via :func:`inject`
 turns selected hits of selected points into deterministic faults:
 
@@ -17,9 +17,6 @@ turns selected hits of selected points into deterministic faults:
   exposed instead of silently passing the test;
 - ``delay`` — sleep a few milliseconds at the point, deterministically
   widening a race window (resize-vs-serve, close-vs-dispatch);
-- ``kill_worker`` — SIGKILL one live worker of the process pool passed
-  in the point's context (a no-op on the thread tier), so mid-flight
-  worker death is exercised for real, not mocked;
 - ``drop_conn`` — invoke the ``drop`` callable in the point's context
   (the fabric client passes one that closes its pooled socket), so a
   TCP connection dies mid-request exactly where a peer reset would
@@ -42,9 +39,8 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 #: Fault kinds an injection point may support.
 KIND_CRASH = "crash"
 KIND_DELAY = "delay"
-KIND_KILL_WORKER = "kill_worker"
 KIND_DROP_CONN = "drop_conn"
-KINDS = (KIND_CRASH, KIND_DELAY, KIND_KILL_WORKER, KIND_DROP_CONN)
+KINDS = (KIND_CRASH, KIND_DELAY, KIND_DROP_CONN)
 
 #: The injection-point catalog: every point threaded through the
 #: serving tier, mapped to the fault kinds that make sense there.
@@ -68,14 +64,10 @@ CATALOG: Dict[str, Tuple[str, ...]] = {
     "sharding.rebalance.mid_swap": (KIND_CRASH, KIND_DELAY),
     # ShardedKbStore.rebalance: swap done, retired copy not reclaimed.
     "sharding.rebalance.pre_reclaim": (KIND_CRASH, KIND_DELAY),
-    # ProcessBatchExecutor.submit (parent side, before dispatch): the
-    # context carries the executor so kill_worker can SIGKILL a live
-    # pool worker mid-deployment.
-    "process_executor.submit": (KIND_KILL_WORKER, KIND_DELAY),
     # QKBflyService._resize_pools: decision taken, resize not yet
     # applied (under the autoscale lock).
-    "service.switch_executor": (KIND_CRASH, KIND_DELAY),
-    # QKBflyService.close: marked closed, pools not yet shut down.
+    "service.resize_pools": (KIND_CRASH, KIND_DELAY),
+    # QKBflyService.close: marked closed, pool not yet shut down.
     "service.close": (KIND_DELAY,),
     # QKBflyService._begin on behalf of AsyncQKBflyService.serve: cold
     # path, gates passed, flight about to be submitted to the shared
@@ -193,10 +185,6 @@ class FaultInjector:
             return
         if action.kind == KIND_DELAY:
             time.sleep(action.seconds or DELAY_SECONDS)
-        elif action.kind == KIND_KILL_WORKER:
-            executor = context.get("executor")
-            if executor is not None:
-                executor.kill_one_worker()
         elif action.kind == KIND_DROP_CONN:
             drop = context.get("drop")
             if drop is not None:
@@ -220,7 +208,7 @@ def fault_point(name: str, **context: Any) -> None:
 
     Disabled (the default): a no-op after one module-global check.
     Armed: forwards to the active :class:`FaultInjector`, which may
-    sleep, kill a pool worker, or raise :class:`SimulatedCrash` here.
+    sleep, drop a connection, or raise :class:`SimulatedCrash` here.
     """
     injector = ACTIVE
     if injector is None:
@@ -256,7 +244,6 @@ __all__ = [
     "KIND_CRASH",
     "KIND_DELAY",
     "KIND_DROP_CONN",
-    "KIND_KILL_WORKER",
     "SimulatedCrash",
     "fault_point",
     "inject",

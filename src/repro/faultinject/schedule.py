@@ -82,8 +82,8 @@ class FaultSchedule:
     ) -> "FaultSchedule":
         """The deterministic schedule for ``seed``.
 
-        ``points`` restricts the catalog (e.g. a scenario without a
-        process pool excludes ``process_executor.submit``); the
+        ``points`` restricts the catalog (e.g. the ingest scenario
+        draws only from the points an ingest or serve crosses); the
         default is every catalog point. Actions never collide on
         ``(point, hit)`` — two actions at one arrival could fire in
         either order, which would break replay determinism.

@@ -25,11 +25,8 @@ serving deployment (see ``docs/ARCHITECTURE.md`` for the full map):
   ``ServiceConfig(store_backend="fabric")`` (see ``docs/FABRIC.md``);
 - :mod:`repro.service.executor` — thread-pool batch execution with
   single-flight deduplication over shared session state;
-- :mod:`repro.service.process_executor` — the same pipeline stages on
-  a multiprocessing pool, escaping the GIL for distinct-query traffic;
 - :mod:`repro.service.autoscale` — queue-fed worker-pool sizing with
-  hysteresis, enabled by ``ServiceConfig(autoscale_policy=...)`` (the
-  thread-vs-process tier itself is fixed by ``ServiceConfig.executor``);
+  hysteresis, enabled by ``ServiceConfig(autoscale_policy=...)``;
 - :mod:`repro.service.admission` — per-client token-bucket rate
   limiting, per-client *cost* budgeting (pipeline-seconds, with a
   per-shape p95 admit-time estimator), and global queue-depth load
@@ -41,10 +38,10 @@ serving deployment (see ``docs/ARCHITECTURE.md`` for the full map):
   ``GET /v1/facts`` / ``GET /v1/entities`` (see ``docs/SEARCH.md``);
 - :mod:`repro.service.service` — the sync :class:`QKBflyService`
   facade (``serve``/``serve_batch`` envelope entry points, cache
-  warm-up, store compaction, execution tiers);
+  warm-up, store compaction, pool sizing);
 - :mod:`repro.service.async_service` — the asyncio
   :class:`AsyncQKBflyService` front end (hits on the event loop,
-  misses dispatched to the executors, asyncio-native single-flight);
+  misses dispatched to the executor, asyncio-native single-flight);
 - :mod:`repro.service.gateway` — the stdlib HTTP server
   (:class:`HttpGateway`) exposing ``POST /v1/query``,
   ``GET /v1/facts``, ``GET /v1/entities``, ``GET /v1/healthz``, and
@@ -103,11 +100,6 @@ from repro.service.ingest import (
 from repro.service.ingest.pipeline import IngestPipeline
 from repro.service.ingest.subscriptions import SubscriptionRegistry
 from repro.service.kb_store import EntrySignature, KbStore
-from repro.service.process_executor import (
-    PipelineRequest,
-    PipelineResponse,
-    ProcessBatchExecutor,
-)
 from repro.service.search import (
     SORT_ORDERS,
     rebuild_index,
@@ -117,7 +109,6 @@ from repro.service.service import QKBflyService, ServiceConfig
 from repro.service.sharding import ShardedKbStore, shard_index
 from repro.service.stage_cache import (
     StageCache,
-    StageCacheSpec,
     StagePolicy,
     stage_signature,
 )
@@ -146,10 +137,7 @@ __all__ = [
     "Overloaded",
     "QueueWaitWindow",
     "PipelineFailure",
-    "PipelineRequest",
-    "PipelineResponse",
     "PoolSizer",
-    "ProcessBatchExecutor",
     "QKBflyService",
     "QueryCache",
     "QueryRequest",
@@ -165,7 +153,6 @@ __all__ = [
     "ShardUnavailable",
     "ShardedKbStore",
     "StageCache",
-    "StageCacheSpec",
     "StagePolicy",
     "SubscriptionRegistry",
     "TokenBucket",

@@ -109,10 +109,10 @@ class QueueWaitWindow:
     approach the queue's drain time, which is exactly the number a shed
     client should be told to wait before retrying.
 
-    The window is owned by the *service*, not by any executor: a live
-    pool swap or resize (:meth:`~repro.service.service.QKBflyService.
-    _resize_pools`) replaces the pool but keeps feeding the same
-    window, so the wait distribution survives autoscaling events.
+    The window is owned by the *service*, not by the executor: a live
+    resize (:meth:`~repro.service.service.QKBflyService._resize_pools`)
+    replaces the pool but keeps feeding the same window, so the wait
+    distribution survives autoscaling events.
 
     Args:
         size: Sample capacity; the window holds the most recent ``size``

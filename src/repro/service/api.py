@@ -25,9 +25,9 @@ defined here and nowhere else:
 
 Both envelopes JSON round-trip via ``to_dict``/``from_dict`` (all
 durations stay in seconds on the wire, so a round trip is bit-exact),
-which is what lets the process executor, the gateway, and any future
-transport ship them without bespoke encodings. See ``docs/API.md`` for
-the wire format and curl-level examples.
+which is what lets the gateway and any future transport ship them
+without bespoke encodings. See ``docs/API.md`` for the wire format and
+curl-level examples.
 """
 
 from __future__ import annotations

@@ -19,10 +19,10 @@ execution tier.
   inline and the cache is filled; if a writer holds it, the request
   falls through to the slow path instead of stalling the loop;
 - **miss** — the request starts or joins a flight in the sync
-  service's :class:`~repro.service.executor.BatchExecutor` (and through
-  it the process tier, when selected) and awaits that flight's future,
-  so the pipeline's CPU-bound stages run on worker threads/processes
-  while the loop keeps answering hits. No thread is parked on the wait.
+  service's :class:`~repro.service.executor.BatchExecutor` and awaits
+  that flight's future, so the pipeline's CPU-bound stages run on
+  worker threads while the loop keeps answering hits. No thread is
+  parked on the wait.
 
 The tier decision itself is not written here: :meth:`serve` drives the
 sync service's ladder (``_begin`` → await → ``_finish``) with the
@@ -72,7 +72,7 @@ from repro.service.service import QKBflyService, ServiceConfig
 class AsyncQKBflyService:
     """Event-loop serving facade over a :class:`QKBflyService`.
 
-    All serving tiers (cache, store, executors, autoscaler) are the
+    All serving tiers (cache, store, executor, autoscaler) are the
     wrapped sync service's — the two front ends can serve the same
     deployment concurrently and share every tier, including
     single-flight dedup across the sync/async boundary.
@@ -234,10 +234,9 @@ class AsyncQKBflyService:
                     request, key, started, outcome, on_loop=True
                 )
                 if sync._sizer is not None and not self._closed:
-                    # The pool resize a cold flight may call for (a
-                    # process bootstrap takes hundreds of
-                    # milliseconds) is decided and applied off the
-                    # loop, fire-and-forget.
+                    # The pool resize a cold flight may call for is
+                    # decided and applied off the loop,
+                    # fire-and-forget.
                     self._dispatch_pool.submit(sync.autoscale_tick)
         except BaseException:
             # Measured cost unknown (shed, deadline, pipeline failure):
@@ -442,7 +441,7 @@ class AsyncQKBflyService:
         """Shut the front end down.
 
         The dispatch pool — and, when owned, the sync service with all
-        its pools and store handles — is shut down off the loop.
+        its pool and store handles — is shut down off the loop.
         Closing an owned service drains its executor, so consumers
         still awaiting a flight get their results.
         """

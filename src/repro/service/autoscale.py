@@ -1,14 +1,11 @@
-"""Runtime pool sizing for the serving layer's worker pools.
+"""Runtime pool sizing for the serving layer's worker pool.
 
-The execution *tier* (thread vs process, see
-:mod:`repro.service.process_executor`) is a construction-time choice
-(``ServiceConfig.executor``); what may move at run time is the pool's
-*width*. :class:`PoolSizer` decides it (:meth:`PoolSizer.
-decide_pool_size`): fed the executor's live ``pending`` depth (the
-distinct computations currently in flight — see
-:attr:`~repro.service.executor.BatchExecutor.pending` /
-:attr:`~repro.service.process_executor.ProcessBatchExecutor.pending`)
-and the measured queue-wait distribution
+What may move at run time is the request worker pool's *width*.
+:class:`PoolSizer` decides it (:meth:`PoolSizer.decide_pool_size`):
+fed the executor's live ``pending`` depth (the distinct computations
+currently in flight — see
+:attr:`~repro.service.executor.BatchExecutor.pending`) and the
+measured queue-wait distribution
 (:class:`~repro.service.admission.QueueWaitWindow`), it recommends
 growing the worker pool while work is genuinely backing up and
 shrinking it once the backlog is gone — with a hysteresis band (grow
@@ -38,8 +35,8 @@ class AutoscalePolicy:
             pool never shrinks below this many workers.
         pool_max_workers: Ceiling on the recommended pool size — the
             pool never grows past this many workers, however deep the
-            backlog (protects the host from unbounded thread/process
-            creation under attack traffic).
+            backlog (protects the host from unbounded thread creation
+            under attack traffic).
         pool_grow_backlog: Grow threshold, in *pending computations
             per worker*: with ``pending >= workers * pool_grow_backlog``
             the queue is outrunning the pool and a grow step is
@@ -60,9 +57,8 @@ class AutoscalePolicy:
             cold start — does not block growth: backlog alone decides.)
         pool_step: Workers added or removed per resize decision.
         pool_cooldown_seconds: Minimum time between recommended
-            resizes — a resize retires and rebuilds worker pools (a
-            process bootstrap pickles the session), so decisions are
-            rate-limited.
+            resizes — a resize retires the worker pool and builds a
+            new one, so decisions are rate-limited.
     """
 
     pool_min_workers: int = 1
@@ -118,9 +114,7 @@ class PoolSizer:
         Args:
             current_workers: The pool's current size.
             pending: Distinct computations in flight right now — the
-                executor's live queue depth (take the max over the
-                request executor and the pipeline-tier pool; a flight
-                appears in both while dispatched).
+                executor's live queue depth.
             queue_wait: The deployment's
                 :class:`~repro.service.admission.QueueWaitWindow`
                 (optional) — growth corroboration, see

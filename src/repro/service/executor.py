@@ -29,40 +29,27 @@ class BatchExecutor:
             key as ``run_fn(request)``. Must be thread-safe — in the
             serving layer it closes over shared read-only session state
             plus the (internally locked) cache and store.
-        max_workers: Concurrent worker threads (ignored when ``pool``
-            is supplied).
-        pool: Optional executor to run computations on instead of an
-            owned thread pool — this is how
-            :class:`~repro.service.process_executor.ProcessBatchExecutor`
-            reuses the single-flight machinery over a process pool.
-            Must provide ``submit``/``shutdown``; ownership transfers
-            to this instance.
+        max_workers: Concurrent worker threads.
         queue_wait_hook: Optional callable receiving each computation's
             measured queue wait — the seconds between ``submit()`` and
             the moment ``run_fn`` actually starts on a worker. The
             serving layer wires this to its
             :class:`~repro.service.admission.QueueWaitWindow` so
             Retry-After hints and pool-sizing decisions see live wait
-            data. Only usable with in-process pools: the timing wrapper
-            closes over the hook, so it cannot cross a process
-            boundary (:class:`~repro.service.process_executor.
-            ProcessBatchExecutor` leaves it unset and ships the bare
-            ``run_fn`` instead).
+            data.
     """
 
     def __init__(
         self,
         run_fn: Callable[[Any], Any],
         max_workers: int = 4,
-        pool: Any = None,
         queue_wait_hook: Optional[Callable[[float], None]] = None,
     ) -> None:
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
         self._run_fn = run_fn
-        self._owns_pool = pool is None
         self.max_workers = max_workers
-        self._pool = pool or ThreadPoolExecutor(
+        self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="qkbfly"
         )
         self.queue_wait_hook = queue_wait_hook
@@ -78,23 +65,16 @@ class BatchExecutor:
         self._pool.shutdown(wait=wait)
 
     def resize(self, max_workers: int) -> None:
-        """Swap the owned thread pool for one with ``max_workers``.
+        """Swap the thread pool for one with ``max_workers``.
 
         The single-flight table, counters, and wait hook all survive:
         only the inner pool is replaced, so in-flight computations
         complete on the old pool (its already-submitted work keeps
         running under ``shutdown(wait=False)``) while new submissions
-        land on the new one — the same publish-then-retire discipline
-        as the service's process-pool rebuilds. Refused when the pool was
-        supplied externally (a process pool resizes by being rebuilt,
-        which requires re-pickling the session — the owner's job).
+        land on the new one.
         """
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        if not self._owns_pool:
-            raise RuntimeError(
-                "cannot resize an externally supplied pool"
-            )
         with self._lock:
             if max_workers == self.max_workers:
                 return
@@ -179,34 +159,26 @@ class BatchExecutor:
             shared.set_running_or_notify_cancel()
             self._in_flight[key] = shared
             self.submitted += 1
-        if self.queue_wait_hook is not None:
-            # Measure entry->start so the serving layer sees how long
-            # work sits queued before a worker picks it up. The wrapper
-            # closes over the hook, which is why it only exists when a
-            # hook is set (a process pool could not pickle it).
-            entered = time.monotonic()
+        # Measure entry->start so the serving layer sees how long work
+        # sits queued before a worker picks it up.
+        entered = time.monotonic()
 
-            def work(request: Any = request, entered: float = entered) -> Any:
-                hook = self.queue_wait_hook
-                if hook is not None:
-                    hook(max(0.0, time.monotonic() - entered))
-                return self._run_fn(request)
-        else:
-            work = None
+        def work() -> Any:
+            hook = self.queue_wait_hook
+            if hook is not None:
+                hook(max(0.0, time.monotonic() - entered))
+            return self._run_fn(request)
+
         while True:
             pool = self._pool
             try:
-                if work is not None:
-                    inner = pool.submit(work)
-                else:
-                    inner = pool.submit(self._run_fn, request)
+                inner = pool.submit(work)
                 break
             except BaseException as error:
                 if self._pool is not pool:
                     # A concurrent resize() retired the pool between
                     # the snapshot and the submit; retry on whatever
-                    # pool is current (same discipline as the service's
-                    # process-pool swap).
+                    # pool is current.
                     continue
                 with self._lock:
                     if self._in_flight.get(key) is shared:

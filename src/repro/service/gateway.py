@@ -40,7 +40,7 @@ Routes (see ``docs/API.md`` for the wire format and curl examples):
   unknown or malformed parameters are 400).
 - ``GET /v1/healthz`` — liveness plus the served corpus version.
 - ``GET /v1/stats`` — the merged serving counters
-  (:meth:`AsyncQKBflyService.stats`: cache, store, executor tiers,
+  (:meth:`AsyncQKBflyService.stats`: cache, store, executor,
   autoscaler, admission) plus this gateway's own request/status
   counters.
 

@@ -13,10 +13,7 @@ versions token this vector contributes to retrieval-stage signatures.
 
 The vector is process-local serving state, not session content: it is
 installed on the :class:`~repro.core.qkbfly.SessionState` as
-``session.entity_versions`` for the retrieval stage to consult, but it
-is excluded from session pickling (worker processes see ``None`` and
-fall back to an empty token — their stage caches are per-process and
-rebuilt on pool swaps anyway).
+``session.entity_versions`` for the retrieval stage to consult.
 """
 
 from __future__ import annotations

@@ -19,12 +19,9 @@ queries that overlap in their retrieved documents reuse the
 retrieval/NLP/extraction products and each document's finished KB
 fragment — see ``docs/PIPELINE.md``.
 
-Pipeline execution runs on the thread tier (inline on the request
-workers) or the process tier
-(:class:`~repro.service.process_executor.ProcessBatchExecutor`),
-chosen once by ``ServiceConfig.executor``; with
+The pipeline runs inline on the request worker threads; with
 ``ServiceConfig.autoscale_policy`` set, a
-:class:`~repro.service.autoscale.PoolSizer` resizes the worker pools
+:class:`~repro.service.autoscale.PoolSizer` resizes that worker pool
 at runtime from the live queue state. The asyncio front end
 (:class:`~repro.service.async_service.AsyncQKBflyService`) layers on
 top of this facade and shares all of its tiers.
@@ -100,7 +97,6 @@ from repro.service.ingest.pipeline import IngestPipeline
 from repro.service.ingest.subscriptions import SubscriptionRegistry
 from repro.service.ingest.versions import EntityVersionVector
 from repro.service.kb_store import KbStore
-from repro.service.process_executor import ProcessBatchExecutor
 from repro.service.search.query import search_paginated, store_backends
 from repro.service.sharding import ShardedKbStore
 from repro.service.stage_cache import (
@@ -125,20 +121,10 @@ class ServiceConfig:
     # 1 keeps the single-file KbStore; N > 1 partitions entries across
     # N SQLite files with per-shard locks (ShardedKbStore).
     store_shards: int = 1
-    # "thread" runs the pipeline on the request worker threads (best
-    # for repeat-heavy traffic: dedup + cache do the work); "process"
-    # adds a multiprocessing pool for the CPU-bound pipeline stages so
-    # concurrent *distinct* queries scale past the GIL on multi-core
-    # hosts (falls back to threads when the session cannot be pickled).
-    # Fixed for the service's lifetime: measure before choosing
-    # "process" (docs/OPERATIONS.md, "Execution tier").
-    executor: str = "thread"
-    # Runtime pool sizing on either tier: set to resize the worker
-    # pools from queue depth and measured waits (None keeps the width
-    # at max_workers).
+    # Runtime pool sizing: set to resize the request worker pool from
+    # queue depth and measured waits (None keeps the width at
+    # max_workers).
     autoscale_policy: Optional[AutoscalePolicy] = None
-    # Pool size for executor="process" (defaults to max_workers).
-    process_workers: Optional[int] = None
     # Refill the in-memory cache from the store on service start (up to
     # warm_limit entries, newest first; capped by cache_size).
     warm_cache_on_start: bool = False
@@ -218,17 +204,6 @@ class ServiceConfig:
         after being built (this is a plain mutable dataclass) cannot
         smuggle an invalid combination past the dataclass hook.
         """
-        if self.executor == "auto":
-            raise ValueError(
-                "executor='auto' is gone: the tier is fixed at "
-                "construction (choose 'thread' or 'process'); runtime "
-                "pool sizing is enabled by autoscale_policy"
-            )
-        if self.executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown executor kind: {self.executor!r} "
-                "(choose 'thread' or 'process')"
-            )
         if self.store_shards < 1:
             raise ValueError(
                 f"store_shards must be >= 1, got {self.store_shards}"
@@ -285,10 +260,6 @@ class ServiceConfig:
         if self.num_documents < 1:
             raise ValueError(
                 f"num_documents must be >= 1, got {self.num_documents}"
-            )
-        if self.process_workers is not None and self.process_workers <= 0:
-            raise ValueError(
-                f"process_workers must be > 0, got {self.process_workers}"
             )
         if (
             self.cache_ttl_seconds is not None
@@ -362,8 +333,6 @@ class QKBflyService:
         self._sizer: Optional[PoolSizer] = (
             PoolSizer(policy) if policy is not None else None
         )
-        # Fixed from here on, except to record a process-pool fallback.
-        self.executor_kind = self.service_config.executor
         self.qkbfly = QKBfly.from_session(session, config=config)
         # Per-entity version vector (docs/INGEST.md): installed on the
         # session so the retrieval stage folds the relevant version
@@ -375,8 +344,7 @@ class QKBflyService:
         self.entity_versions: EntityVersionVector = session.entity_versions
         # Stage-level pipeline cache (docs/PIPELINE.md): installed on
         # the *session*, so every QKBfly bound to it — including the
-        # rebind in refresh_corpus and the pickled copies shipped to
-        # process-pool workers — shares one policy. A session that
+        # rebind in refresh_corpus — shares one policy. A session that
         # already carries a cache keeps it (the operator installed it
         # deliberately, possibly shared across services).
         if (
@@ -428,9 +396,8 @@ class QKBflyService:
                 if stored_version:
                     self.store.delete_stale(session.corpus_version)
                 self.store.set_corpus_version(session.corpus_version)
-        # The queue-wait window is owned by the service (not by any
-        # executor) so the wait distribution survives live pool swaps
-        # and resizes; every pool this service ever builds feeds it.
+        # The queue-wait window is owned by the service (not by the
+        # executor) so the wait distribution survives pool resizes.
         self.queue_wait = QueueWaitWindow(
             size=self.service_config.queue_wait_window
         )
@@ -475,37 +442,10 @@ class QKBflyService:
         self._config_digest = self.qkbfly.config_digest
         self.pipeline_runs = 0
         self.pool_resizes = 0
-        self._pipeline_executor = self._build_pipeline_executor()
         if self.service_config.compact_store_on_start:
             self.compact_store()
         if self.service_config.warm_cache_on_start:
             self.warm_cache(self.service_config.warm_limit)
-
-    def _build_pipeline_executor(self) -> Optional[ProcessBatchExecutor]:
-        """The multiprocessing pool behind the process tier.
-
-        None on the thread tier. If the pool silently falls back to
-        threads (unpicklable session, no process support),
-        ``executor_kind`` is reconciled to what is actually running —
-        otherwise stats would mislabel the tier. The tier is read from
-        the configuration, not from ``executor_kind``: a rebuild after
-        a fallback retries the pool and keeps reporting its
-        ``fallback_reason`` instead of dropping the executor.
-        """
-        if self.service_config.executor == "thread":
-            return None
-        executor = ProcessBatchExecutor(
-            self.session,
-            config=self.qkbfly.config,
-            # An explicit process_workers is an operator pin; otherwise
-            # the pool follows the autoscaled width (pool_workers
-            # starts at max_workers and only moves under a sizer).
-            max_workers=(
-                self.service_config.process_workers or self.pool_workers
-            ),
-        )
-        self.executor_kind = executor.kind
-        return executor
 
     @classmethod
     def from_world(
@@ -822,7 +762,7 @@ class QKBflyService:
         except Exception as error:
             raise wrap_failure(request, error) from error
         result = self._result_copy(shared, request, started)
-        # An event loop never swaps pools inline; its driver applies
+        # An event loop never resizes the pool inline; its driver applies
         # pending autoscale decisions off the loop afterwards.
         if not on_loop:
             self.autoscale_tick()
@@ -1184,34 +1124,10 @@ class QKBflyService:
     def _run_pipeline(
         self, query: str, source: str, num_documents: int
     ) -> KnowledgeBase:
-        """One uncached pipeline run, on the configured tier.
-
-        The thread tier runs inline on the calling executor thread; the
-        process tier ships a picklable envelope to a worker process so
-        the CPU-bound stages escape the GIL. The executor reference is
-        snapshotted once per attempt: a resize, ingest or corpus
-        refresh may replace and shut down the pool concurrently, and a
-        request that loses that race retries on whatever pool is
-        current instead of failing.
-        """
-        while True:
-            executor = self._pipeline_executor
-            if executor is None:
-                return self.qkbfly.build_kb(
-                    query, source=source, num_documents=num_documents
-                )
-            try:
-                return executor.build_kb(
-                    query, source=source, num_documents=num_documents
-                )
-            except RuntimeError as error:
-                # Only swallow the pool's own "shut down beneath us"
-                # complaint, and only when the executor actually
-                # changed — a genuine pipeline RuntimeError (or a
-                # closed service) must propagate.
-                swapped = self._pipeline_executor is not executor
-                if not swapped or "shutdown" not in str(error):
-                    raise
+        """One uncached pipeline run, inline on the request worker thread."""
+        return self.qkbfly.build_kb(
+            query, source=source, num_documents=num_documents
+        )
 
     # ---- pool sizing -------------------------------------------------------
 
@@ -1219,60 +1135,39 @@ class QKBflyService:
         """Ask the sizer for a pool-size decision and apply it.
 
         A no-op without ``ServiceConfig.autoscale_policy``. The
-        decision is fed the live queue state: the deeper of the
-        request executor's and the pipeline pool's ``pending`` views
-        (a dispatched flight appears in both), plus the measured
-        queue-wait window; the outcome is observable via
-        :attr:`pool_workers` / ``stats()``. Sync serving calls this
-        after each cold request; the asyncio front end calls it from
-        its dispatch threads so pool swaps — which can take hundreds of
-        milliseconds for a process bootstrap — never run on the event
-        loop; it is equally safe to call from a maintenance cron.
+        decision is fed the live queue state: the request executor's
+        ``pending`` flights plus the measured queue-wait window; the
+        outcome is observable via :attr:`pool_workers` / ``stats()``.
+        Sync serving calls this after each cold request; the asyncio
+        front end calls it from its dispatch threads so a resize never
+        runs on the event loop; it is equally safe to call from a
+        maintenance cron.
         """
         if self._sizer is None:
             return
-        pending = self._executor.pending
-        pipeline_executor = self._pipeline_executor
-        if pipeline_executor is not None:
-            # getattr: a flight dispatched to the pipeline pool is
-            # already counted by the request executor above, so a
-            # pool stand-in without the `pending` surface (tests,
-            # custom tiers) degrades to that view instead of failing.
-            pending = max(pending, getattr(pipeline_executor, "pending", 0))
         size = self._sizer.decide_pool_size(
-            self.pool_workers, pending=pending, queue_wait=self.queue_wait
+            self.pool_workers,
+            pending=self._executor.pending,
+            queue_wait=self.queue_wait,
         )
         if size is not None:
             self._resize_pools(size)
 
     def _resize_pools(self, workers: int) -> None:
-        """Resize the worker pools to ``workers`` at runtime.
+        """Resize the request worker pool to ``workers`` at runtime.
 
-        Resizes the request executor in place (its single-flight
-        table, counters, and queue-wait hook survive — only the inner
-        thread pool is replaced) and, when a process pool is live and
-        not pinned by an explicit ``process_workers``, rebuilds it at
-        the new width. The new pool is built and published before the
-        old one is shut down (``wait=False``), so requests in flight
-        on the old pool complete on it while new requests already land
-        on the new one.
+        The executor is resized in place: its single-flight table,
+        counters, and queue-wait hook survive — only the inner thread
+        pool is replaced, and requests in flight on the old pool
+        complete on it while new requests already land on the new one.
         """
-        old = None
         with self._autoscale_lock:
             if self._closed or workers == self.pool_workers:
                 return  # closed, or another thread won the same decision
-            fault_point("service.switch_executor")
+            fault_point("service.resize_pools")
             self.pool_workers = workers
             self._executor.resize(workers)
             self.pool_resizes += 1
-            if (
-                self._pipeline_executor is not None
-                and self.service_config.process_workers is None
-            ):
-                old = self._pipeline_executor
-                self._pipeline_executor = self._build_pipeline_executor()
-        if old is not None:
-            old.shutdown(wait=False)
 
     # ---- request identity --------------------------------------------------
 
@@ -1508,24 +1403,15 @@ class QKBflyService:
         engine *without* rotating the corpus version.
 
         The ingest path's slice of :meth:`refresh_corpus`: a QKBfly
-        rebind so the new document is retrievable, plus a process-pool
-        rebuild (workers bootstrapped from the old session pickle would
-        keep serving the old engine). The NLP pipeline is kept: its
-        gazetteer is a snapshot of the entity repository, which an
-        ingest never changes (the memoised repository fingerprint
-        assumes the same). No blanket invalidation — the caller
-        invalidates the touched slice.
+        rebind so the new document is retrievable. The NLP pipeline is
+        kept: its gazetteer is a snapshot of the entity repository,
+        which an ingest never changes (the memoised repository
+        fingerprint assumes the same). No blanket invalidation — the
+        caller invalidates the touched slice.
         """
         self.qkbfly = QKBfly.from_session(
             self.session, config=self.qkbfly.config
         )
-        old = None
-        with self._autoscale_lock:
-            if self._pipeline_executor is not None:
-                old = self._pipeline_executor
-                self._pipeline_executor = self._build_pipeline_executor()
-        if old is not None:
-            old.shutdown()
 
     # ---- corpus lifecycle --------------------------------------------------
 
@@ -1599,17 +1485,6 @@ class QKBflyService:
         # left valid deliberately survives it; see docs/PIPELINE.md.
         if self.session.stage_cache is not None:
             self.session.stage_cache.clear(STAGE_RETRIEVAL)
-        # Worker processes bootstrapped from the *old* session pickle;
-        # rebuild the pool so they serve the new corpus. The swap takes
-        # the autoscale lock so a concurrent resize cannot orphan a
-        # pool or publish one that was just shut down.
-        with self._autoscale_lock:
-            old = self._pipeline_executor
-            self._pipeline_executor = (
-                self._build_pipeline_executor() if old is not None else None
-            )
-        if old is not None:
-            old.shutdown()
         if self.history is not None:
             self.history.record_refresh(
                 previous_version, self.session.corpus_version
@@ -1715,7 +1590,6 @@ class QKBflyService:
         out: Dict[str, Any] = {
             "corpus_version": self.session.corpus_version,
             "pipeline_runs": self.pipeline_runs,
-            "executor_kind": self.executor_kind,
             "pool_workers": self.pool_workers,
             "cache": self.cache.stats(),
             "executor": {
@@ -1731,8 +1605,6 @@ class QKBflyService:
             autoscale["pool_workers"] = self.pool_workers
             autoscale["pool_resizes"] = self.pool_resizes
             out["autoscale"] = autoscale
-        if self._pipeline_executor is not None:
-            out["pipeline_executor"] = self._pipeline_executor.stats()
         if self.store is not None:
             out["store"] = self.store.stats()
         if self.fabric is not None:
@@ -1749,26 +1621,20 @@ class QKBflyService:
         return out
 
     def close(self) -> None:
-        """Shut down the executors and close the store.
+        """Shut down the executor and close the store.
 
-        Marks the service closed under the autoscale lock *before*
-        any pool is shut down, so a live resize racing the shutdown
-        can neither publish a fresh pool after it (leaked
-        worker threads/processes) nor hand this method a pool that is
-        about to be replaced.
+        Marks the service closed under the autoscale lock *before* the
+        pool is shut down, so a live resize racing the shutdown cannot
+        publish a fresh pool after it (leaked worker threads).
         """
         with self._autoscale_lock:
             self._closed = True
-            pipeline_executor = self._pipeline_executor
-            self._pipeline_executor = None
-        # Wake blocked long-pollers before the pools drain: a poller
+        # Wake blocked long-pollers before the pool drains: a poller
         # parked on the registry condition would otherwise wait out its
         # full timeout during shutdown.
         self.subscriptions.close()
         fault_point("service.close")
         self._executor.shutdown()
-        if pipeline_executor is not None:
-            pipeline_executor.shutdown()
         if self.fabric is not None:
             # Drains queued replica deliveries, closes the routed
             # store, then stops the shard servers (store.close() is

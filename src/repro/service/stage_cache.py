@@ -49,12 +49,6 @@ fragments that holds by construction: a
 :class:`~repro.kb.facts.KnowledgeBase` is an immutable value, and
 :meth:`KnowledgeBase.merge <repro.kb.facts.KnowledgeBase.merge>` shares
 the rows it adopts.
-
-A :class:`StageCache` itself is not pickled (its entries may be large
-and are process-local); :meth:`StageCache.spec` captures its *policy*
-as a small frozen :class:`StageCacheSpec`, which is what a pickled
-session ships so process-pool workers rebuild their own empty cache
-with identical limits.
 """
 
 from __future__ import annotations
@@ -65,7 +59,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional
 
 #: The cacheable stages, in dataflow order.
 STAGE_RETRIEVAL = "retrieval"
@@ -134,24 +128,6 @@ class StagePolicy:
             raise ValueError("max_bytes must be positive when set")
 
 
-@dataclass(frozen=True)
-class StageCacheSpec:
-    """The picklable identity of a :class:`StageCache`: its policies,
-    not its entries. ``SessionState.__getstate__`` swaps the live cache
-    for its spec; ``__setstate__`` calls :meth:`build` so every
-    process-pool worker starts with an empty cache under the same
-    limits."""
-
-    policy: StagePolicy = StagePolicy()
-    overrides: Tuple[Tuple[str, StagePolicy], ...] = ()
-
-    def build(self) -> "StageCache":
-        """A fresh, empty cache with this spec's policies."""
-        return StageCache(
-            policy=self.policy, overrides=dict(self.overrides)
-        )
-
-
 class _StageShard:
     """One stage's namespace: an LRU table plus its counters."""
 
@@ -218,13 +194,6 @@ class StageCache:
         self._shards: Dict[str, _StageShard] = {}
 
     # ---- identity ----------------------------------------------------------
-
-    def spec(self) -> StageCacheSpec:
-        """The picklable policy-only identity of this cache."""
-        return StageCacheSpec(
-            policy=self._policy,
-            overrides=tuple(sorted(self._overrides.items())),
-        )
 
     def policy_for(self, stage: str) -> StagePolicy:
         """The effective policy of ``stage`` (override or default)."""
@@ -467,7 +436,6 @@ __all__ = [
     "STAGE_NLP",
     "STAGE_RETRIEVAL",
     "StageCache",
-    "StageCacheSpec",
     "StagePolicy",
     "normalized_query_text",
     "stage_signature",

@@ -23,11 +23,8 @@ from __future__ import annotations
 import pytest
 
 from repro.faultinject import fabric_harness
-from repro.faultinject.fabric_harness import (
-    fabric_schedule_for_seed,
-    run_fabric_schedule,
-)
-from repro.faultinject.harness import PROCESS_POINT
+from repro.faultinject.fabric_harness import run_fabric_schedule
+from repro.faultinject.harness import schedule_for_seed
 from repro.faultinject.points import CATALOG, inject
 from repro.faultinject.schedule import FaultAction, FaultSchedule
 from repro.kb.facts import ARG_ENTITY, Argument, Fact, KbBuilder, KnowledgeBase
@@ -203,13 +200,13 @@ def test_scenario_replication_crash_with_refresh_in_flight():
 
 
 def test_fabric_schedule_is_a_pure_function_of_its_seed():
-    first = fabric_schedule_for_seed(FIRING_SEED)
-    second = fabric_schedule_for_seed(FIRING_SEED)
+    first = schedule_for_seed(FIRING_SEED)
+    second = schedule_for_seed(FIRING_SEED)
     assert first.to_dict() == second.to_dict()
-    # The process-pool point is excluded (the fabric's own server
-    # processes are the multi-process dimension here); fabric points
-    # remain eligible.
-    eligible = {name for name in CATALOG if name != PROCESS_POINT}
+    # The fabric scenario shares the base harness's schedule: every
+    # catalog point, the fabric transport, server, replication, and
+    # online-rebalance points included, is eligible.
+    eligible = set(CATALOG)
     assert {action.point for action in first.actions} <= eligible
 
 

@@ -135,11 +135,11 @@ def test_schedule_json_round_trip_and_describe():
 
 
 def test_schedule_point_restriction_and_unknown_point():
-    restricted = [n for n in CATALOG if n != "process_executor.submit"]
+    restricted = [n for n in CATALOG if n != "fabric.server.handle"]
     for seed in range(40):
         schedule = FaultSchedule.generate(seed, points=restricted)
         assert all(
-            a.point != "process_executor.submit" for a in schedule.actions
+            a.point != "fabric.server.handle" for a in schedule.actions
         )
     with pytest.raises(ValueError, match="unknown fault point"):
         FaultSchedule.generate(1, points=["no.such.point"])
@@ -217,23 +217,6 @@ def test_inject_refuses_nesting_and_always_disarms():
             with inject(schedule):
                 pass  # pragma: no cover
     assert fi_points.ACTIVE is None
-
-
-def test_kill_worker_reaches_context_executor():
-    class FakeExecutor:
-        killed = 0
-
-        def kill_one_worker(self):
-            self.killed += 1
-
-    executor = FakeExecutor()
-    schedule = FaultSchedule(
-        actions=(FaultAction("process_executor.submit", 1, "kill_worker"),)
-    )
-    with inject(schedule):
-        fault_point("process_executor.submit", executor=executor)
-        fault_point("process_executor.submit", executor=executor)
-    assert executor.killed == 1
 
 
 # ---- history + checker ------------------------------------------------------
@@ -490,42 +473,3 @@ def test_compact_rolls_back_on_base_exception(tmp_path):
         assert store.stats()["kb_entries"] == 4
     finally:
         store.close()
-
-
-def test_process_executor_worker_kill_surfaces_typed_failure(
-    service_session,
-):
-    """SIGKILLing a live pool worker mid-deployment must surface as a
-    failure/result, never a hang — and the thread tier is a no-op."""
-    from repro.service.process_executor import (
-        PipelineRequest,
-        ProcessBatchExecutor,
-    )
-
-    with ProcessBatchExecutor(
-        service_session, max_workers=1, force_threads=True
-    ) as threads:
-        assert threads.worker_pids() == []
-        assert threads.kill_one_worker() is None
-
-    executor = ProcessBatchExecutor(service_session, max_workers=1)
-    try:
-        if executor.kind != "process":
-            pytest.skip(f"no process pool here: {executor.fallback_reason}")
-        # Warm the pool so a worker exists, then kill it mid-flight.
-        entities = sorted(
-            service_session.entity_repository.entities(),
-            key=lambda e: -e.prominence,
-        )
-        query = entities[0].canonical_name
-        executor.build_kb(query)
-        assert executor.worker_pids()
-        victim = executor.kill_one_worker()
-        assert victim is not None
-        with pytest.raises(Exception):
-            # The broken pool raises (BrokenProcessPool) instead of
-            # hanging; the serving layer wraps this into its typed
-            # PipelineFailure envelope.
-            executor.build_kb(entities[1].canonical_name)
-    finally:
-        executor.shutdown()

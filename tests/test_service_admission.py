@@ -155,20 +155,17 @@ def test_controller_rejects_bad_parameters():
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        ({"executor": "fiber"}, "executor"),
         ({"store_shards": 0}, "store_shards"),
         ({"warm_limit": 10}, "store_path"),  # warm_limit without a store
         ({"store_path": ":memory:", "warm_limit": -1}, "warm_limit"),
         ({"cache_size": 0}, "cache_size"),
         ({"max_workers": 0}, "max_workers"),
         ({"num_documents": 0}, "num_documents"),
-        ({"process_workers": 0}, "process_workers"),
         ({"cache_ttl_seconds": 0}, "cache_ttl_seconds"),
         ({"rate_limit_qps": 0}, "rate_limit_qps"),
         ({"rate_limit_burst": 5}, "rate_limit_qps"),  # burst without rate
         ({"rate_limit_qps": 1, "rate_limit_burst": 0}, "rate_limit_burst"),
         ({"max_queue_depth": 0}, "max_queue_depth"),
-        ({"executor": "auto"}, "autoscale_policy"),  # names the replacement
     ],
 )
 def test_service_config_rejects_invalid_combos_loudly(kwargs, match):

@@ -193,39 +193,6 @@ def test_result_with_kb_round_trips(service_session):
     assert result.to_dict(include_kb=False)["kb"] is None
 
 
-def test_pipeline_envelopes_round_trip(service_session):
-    """The executor-tier envelopes share the v1 wire discipline: every
-    field survives to_dict/from_dict (a future multi-node transport
-    reuses this form, so it must not rot)."""
-    from dataclasses import fields
-
-    from repro.service.process_executor import (
-        PipelineRequest,
-        PipelineResponse,
-    )
-
-    request = PipelineRequest(query="Alice", source="news", num_documents=3)
-    assert PipelineRequest.from_dict(request.to_dict()) == request
-    assert set(request.to_dict()) == {
-        f.name for f in fields(PipelineRequest)
-    }
-
-    with QKBflyService(service_session) as service:
-        name = _top_queries(service_session, 1)[0]
-        kb = service.build_kb(name)
-    response = PipelineResponse(
-        kb_payload=kb.to_dict(), worker_pid=123, seconds=0.25
-    )
-    rebuilt = PipelineResponse.from_dict(
-        json.loads(json.dumps(response.to_dict()))
-    )
-    assert rebuilt.to_kb().to_dict() == kb.to_dict()
-    assert (rebuilt.worker_pid, rebuilt.seconds) == (123, 0.25)
-    assert set(response.to_dict()) == {
-        f.name for f in fields(PipelineResponse)
-    }
-
-
 # ---- error taxonomy --------------------------------------------------------
 
 
@@ -397,8 +364,8 @@ def test_deadline_retry_hint_stays_small():
 
 def test_mutated_config_is_revalidated_by_the_service(service_session):
     config = ServiceConfig()
-    config.executor = "fiber"  # mutation after the dataclass hook ran
-    with pytest.raises(ValueError, match="executor"):
+    config.max_workers = 0  # mutation after the dataclass hook ran
+    with pytest.raises(ValueError, match="max_workers"):
         QKBflyService(service_session, service_config=config)
 
 

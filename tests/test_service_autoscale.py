@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.service.api import PipelineFailure, QueryRequest
@@ -31,110 +29,23 @@ def _query_names(service_session, count: int):
 
 
 def test_fixed_executor_has_no_autoscaler(service_session):
-    config = ServiceConfig(executor="thread", max_workers=2)
+    config = ServiceConfig(max_workers=2)
     with QKBflyService(service_session, service_config=config) as service:
         assert "autoscale" not in service.stats()
         assert service.autoscale_tick() is None
 
 
-def test_service_pins_threads_when_process_pool_falls_back(service_session):
-    """A process pool that silently falls back to threads (here: an
-    unpicklable session) must reconcile executor_kind and surface the
-    reason, and a later pool rebuild must not flip the label back."""
-    service_session.transient_handle = threading.Lock()
-    try:
-        config = ServiceConfig(executor="process", max_workers=2)
-        with QKBflyService(service_session, service_config=config) as service:
-            assert service.executor_kind == "thread"
-            stats = service.stats()
-            assert stats["executor_kind"] == "thread"
-            assert (
-                "not picklable"
-                in stats["pipeline_executor"]["fallback_reason"]
-            )
-            name = _query_names(service_session, 1)[0]
-            result = service.serve(QueryRequest(query=name))
-            assert len(result.kb.facts) > 0
-            service._resize_pools(3)
-            assert service.executor_kind == "thread"
-    finally:
-        del service_session.transient_handle
-
-
-def test_fallback_reason_survives_pool_rebuild_on_ingest(service_session):
-    """The ingest path rebuilds the process pool; after a fallback the
-    rebuild must retry the pool (and fall back again), not drop it — a
-    silently degraded tier stays visible in ``stats()``."""
-    from repro.core.qkbfly import SessionState
-    from repro.service.api import IngestRequest
-
-    # A private session: ingest swaps the session's search engine.
-    session = SessionState(
-        entity_repository=service_session.entity_repository,
-        pattern_repository=service_session.pattern_repository,
-        statistics=service_session.statistics,
-        search_engine=service_session.search_engine,
-    )
-    session.transient_handle = threading.Lock()
-    config = ServiceConfig(executor="process", max_workers=2)
-    with QKBflyService(session, service_config=config) as service:
-        name = _query_names(session, 1)[0]
-        service.ingest(
-            IngestRequest(doc_id="live-1", text=f"{name} announced a tour.")
-        )
-        stats = service.stats()
-        assert stats["executor_kind"] == "thread"
-        assert (
-            "not picklable" in stats["pipeline_executor"]["fallback_reason"]
-        )
-
-
-def test_in_flight_request_survives_pool_resize(service_session):
-    """A request that loses the race against a live process-pool
-    resize retries on the new pool instead of surfacing the retired
-    pool's shutdown error (the _run_pipeline snapshot-and-retry
-    contract)."""
-    config = ServiceConfig(executor="process", max_workers=2)
-    with QKBflyService(service_session, service_config=config) as service:
-        if service.executor_kind != "process":
-            pytest.skip("no process pool here")
-        name = _query_names(service_session, 1)[0]
-        retired = service._pipeline_executor
-        real_build_kb = retired.build_kb
-
-        def lose_the_race(query, source, num_documents):
-            # By the time the request reaches the pool it snapshotted,
-            # a resize has published a new pool and shut this one down.
-            service._resize_pools(3)
-            return real_build_kb(
-                query, source=source, num_documents=num_documents
-            )
-
-        retired.build_kb = lose_the_race
-        result = service.serve(QueryRequest(query=name))
-        assert not result.cache_hit
-        assert len(result.kb.facts) > 0
-        current = service._pipeline_executor
-        assert current is not retired
-        assert current.max_workers == 3
-        assert current.submitted == 1  # retried on the new pool
-
-
-def test_genuine_pipeline_error_is_not_swallowed(service_session):
-    """The retry loop only absorbs shutdown errors from a *swapped*
-    pool — a RuntimeError from a still-current executor propagates."""
-    config = ServiceConfig(executor="thread", max_workers=2)
+def test_genuine_pipeline_error_is_not_swallowed(service_session, monkeypatch):
+    """A RuntimeError from the pipeline surfaces as a typed
+    PipelineFailure carrying the original error as its cause."""
+    config = ServiceConfig(max_workers=2)
     with QKBflyService(service_session, service_config=config) as service:
         name = _query_names(service_session, 1)[0]
 
-        class BrokenPool:
-            def build_kb(self, query, source, num_documents):
-                raise RuntimeError("cannot schedule: pool shutdown")
+        def broken_build_kb(query, source, num_documents):
+            raise RuntimeError("cannot schedule: pool shutdown")
 
-            def shutdown(self, wait=True):
-                pass
-
-        service._pipeline_executor = BrokenPool()
+        monkeypatch.setattr(service.qkbfly, "build_kb", broken_build_kb)
         with pytest.raises(PipelineFailure, match="pool shutdown") as excinfo:
             service.serve(QueryRequest(query=name))
         assert isinstance(excinfo.value.__cause__, RuntimeError)
@@ -265,30 +176,15 @@ def test_pool_policy_validation():
 def test_service_applies_pool_decision_on_tick(service_session):
     """autoscale_tick applies the pool-size decision, resizing the live
     request executor."""
-    _tick_resizes_pools(service_session, "thread")
-
-
-def test_tick_resizes_live_process_pool(service_session):
-    """On the process tier the same tick also rebuilds the live
-    process pool at the new width; the tier itself never moves."""
-    _tick_resizes_pools(service_session, "process")
-
-
-def _tick_resizes_pools(service_session, executor):
     policy = AutoscalePolicy(
         pool_cooldown_seconds=0.0,
         pool_grow_backlog=0.5,
         pool_shrink_backlog=0.1,
         pool_grow_wait_seconds=0.0,
     )
-    config = ServiceConfig(
-        executor=executor, max_workers=2, autoscale_policy=policy
-    )
+    config = ServiceConfig(max_workers=2, autoscale_policy=policy)
     with QKBflyService(service_session, service_config=config) as service:
-        if service.executor_kind != executor:
-            pytest.skip("no process pool here")
         assert service.pool_workers == 2
-        first_pool = service._pipeline_executor
 
         real_executor = service._executor
 
@@ -306,10 +202,6 @@ def _tick_resizes_pools(service_session, executor):
         assert service.pool_workers == 3
         assert service.pool_resizes == 1
         assert service._executor.max_workers == 3
-        assert service.executor_kind == executor
-        if executor == "process":
-            assert service._pipeline_executor is not first_pool
-            assert service._pipeline_executor.max_workers == 3
         stats = service.stats()
         assert stats["autoscale"]["pool_workers"] == 3
         assert stats["autoscale"]["pool_resizes"] == 1
@@ -320,7 +212,7 @@ def _tick_resizes_pools(service_session, executor):
 
 
 def test_fixed_tier_never_resizes(service_session):
-    config = ServiceConfig(executor="thread", max_workers=2)
+    config = ServiceConfig(max_workers=2)
     names = _query_names(service_session, 3)
     with QKBflyService(service_session, service_config=config) as service:
         for name in names:
@@ -329,16 +221,3 @@ def test_fixed_tier_never_resizes(service_session):
         assert service.pool_workers == 2
         assert service.pool_resizes == 0
         assert "autoscale" not in service.stats()
-
-
-def test_explicit_process_workers_pins_pipeline_pool(service_session):
-    """An operator-pinned process_workers keeps the pipeline pool out
-    of resize decisions: only the request executor follows
-    pool_workers."""
-    config = ServiceConfig(executor="thread", max_workers=2, process_workers=2)
-    with QKBflyService(service_session, service_config=config) as service:
-        before = service._pipeline_executor  # None on the thread tier
-        service._resize_pools(4)
-        assert service.pool_workers == 4
-        assert service._executor.max_workers == 4
-        assert service._pipeline_executor is before

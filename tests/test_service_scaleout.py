@@ -1,9 +1,7 @@
-"""End-to-end scale-out serving: sharded store + process executor +
+"""End-to-end scale-out serving: sharded store + batched executor +
 cache warm-up + compaction, asserting parity with the uncached pipeline."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.qkbfly import QKBfly
 from repro.service.api import QueryRequest
@@ -31,7 +29,7 @@ def _expected_kbs(service_session, queries):
     }
 
 
-def test_sharded_process_service_cold_warm_parity(service_session, tmp_path):
+def test_sharded_service_cold_warm_parity(service_session, tmp_path):
     """The full scale-out stack must serve byte-identical answers to the
     uncached QKBfly path, cold and warm, for a repeated/overlapping
     batch workload."""
@@ -40,8 +38,6 @@ def test_sharded_process_service_cold_warm_parity(service_session, tmp_path):
     workload = queries * 2 + queries[:3]  # repeats and overlaps
     config = ServiceConfig(
         max_workers=4,
-        executor="process",
-        process_workers=2,
         store_path=str(tmp_path / "shards"),
         store_shards=3,
     )
@@ -56,7 +52,6 @@ def test_sharded_process_service_cold_warm_parity(service_session, tmp_path):
         for query, result in zip(queries, warm):
             assert result.kb.to_dict() == expected[query]
         stats = service.stats()
-        assert stats["pipeline_executor"]["kind"] == "process"
         assert stats["store"]["shards"] == 3
         assert stats["store"]["kb_entries"] == len(queries)
 
@@ -225,39 +220,6 @@ def test_compact_store_on_start_trims_reopened_store(
         service_session, service_config=reopened_config
     ) as restarted:
         assert restarted.store.stats()["kb_entries"] == 1
-
-
-def test_refresh_corpus_rebuilds_process_workers(service_session, tmp_path):
-    query = _top_queries(service_session, 1)[0]
-    config = ServiceConfig(
-        max_workers=2,
-        executor="process",
-        process_workers=2,
-        store_path=str(tmp_path / "shards"),
-        store_shards=2,
-    )
-    with QKBflyService(service_session, service_config=config) as service:
-        original_version = service.corpus_version
-        before = service.serve(QueryRequest(query=query))
-        assert not before.cache_hit
-        old_executor = service._pipeline_executor
-        service.refresh_corpus(version="scaleout-v2")
-        try:
-            assert service._pipeline_executor is not old_executor
-            refreshed = service.serve(QueryRequest(query=query))
-            assert not refreshed.cache_hit and not refreshed.store_hit
-            assert refreshed.kb.to_dict() == before.kb.to_dict()
-            assert service.pipeline_runs == 2
-        finally:
-            service.refresh_corpus(version=original_version)
-
-
-def test_unknown_executor_kind_is_rejected(service_session):
-    with pytest.raises(ValueError, match="executor"):
-        QKBflyService(
-            service_session,
-            service_config=ServiceConfig(executor="fiber"),
-        )
 
 
 def test_service_accepts_preopened_sharded_store(service_session, tmp_path):

@@ -365,22 +365,3 @@ def test_one_hot_key_is_one_shared_value_across_8_threads(service_session):
         assert len({id(kb) for kb in kbs}) == 1
         assert service.pipeline_runs == 1
         assert kbs[0].to_dict() == expected.to_dict()
-
-
-def _echo(value):
-    return value
-
-
-def test_sealed_kb_pickles_through_a_process_pool():
-    """A sealed KB crosses a process boundary (the process tier's
-    ``ProcessPoolExecutor``) and comes back equal and still sealed."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    kb = _kb_for("q", 3)
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-        clone = pool.submit(_echo, kb).result(timeout=60)
-    assert clone is not kb and clone.to_dict() == kb.to_dict()
-    with pytest.raises(TypeError):
-        clone.entity_mentions["E_q"] = frozenset()

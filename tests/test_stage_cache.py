@@ -23,7 +23,6 @@ Three layers of coverage:
 
 from __future__ import annotations
 
-import pickle
 import threading
 from dataclasses import FrozenInstanceError
 
@@ -41,7 +40,6 @@ from repro.service.stage_cache import (
     STAGE_NLP,
     STAGE_RETRIEVAL,
     StageCache,
-    StageCacheSpec,
     StagePolicy,
     normalized_query_text,
     stage_signature,
@@ -201,31 +199,6 @@ def test_stats_totals_and_reuse_ratio():
     assert stats["puts"] == 1 and stats["bytes"] == 4
     assert stats["reuse_ratio"] == pytest.approx(1 / 2)
     assert cache.reuse_ratio == pytest.approx(1 / 2)
-
-
-def test_spec_round_trip_and_session_pickle(stage_session):
-    policy = StagePolicy(max_entries=7, ttl_seconds=30.0, max_bytes=1000)
-    cache = StageCache(
-        policy=policy, overrides={"nlp": StagePolicy(max_entries=3)}
-    )
-    cache.put("nlp", "sig", "payload", size_bytes=10)
-    spec = cache.spec()
-    assert isinstance(spec, StageCacheSpec)
-    rebuilt = pickle.loads(pickle.dumps(spec)).build()
-    # Same policies, empty entries: what a process-pool worker gets.
-    assert rebuilt.policy_for("retrieval") == policy
-    assert rebuilt.policy_for("nlp").max_entries == 3
-    assert rebuilt.get("nlp", "sig") is None
-
-    stage_session.stage_cache = cache
-    revived = pickle.loads(pickle.dumps(stage_session))
-    assert revived.stage_cache is not None
-    assert revived.stage_cache.policy_for("nlp").max_entries == 3
-    assert revived.stage_cache.stats()["entries"] == 0
-
-    stage_session.stage_cache = None
-    bare = pickle.loads(pickle.dumps(stage_session))
-    assert bare.stage_cache is None
 
 
 # ---- pipeline integration --------------------------------------------------
