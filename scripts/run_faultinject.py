@@ -1,18 +1,19 @@
 """Fault-injection sweep driver: seeded, replayable, self-minimizing.
 
-Runs the end-to-end scenario of :mod:`repro.faultinject.harness` under
-randomized fault schedules. Every schedule is a pure function of its
-integer seed, so the one thing a red CI run needs to print is the seed:
+Runs one scenario of :mod:`repro.faultinject.harness` (``--scenario``:
+``local``, ``fabric`` or ``ingest``) under randomized fault schedules.
+Every schedule is a pure function of its scenario and integer seed, so
+the one thing a red CI run needs to print is the seed and the scenario:
 
-    PYTHONPATH=src python scripts/run_faultinject.py --seed 1234
+    PYTHONPATH=src python scripts/run_faultinject.py --seed 1234 --scenario fabric
 
 reproduces the identical schedule, interleaving constraints, and
 verdict. Without ``--seed``, a sweep of ``--schedules`` N seeds starting
 at ``--base-seed`` runs; on failure the driver re-runs the failing
 schedule through delta-debugging minimization and prints both the seed
-and the smallest sub-schedule (as JSON, replayable via
-``repro.faultinject.schedule.FaultSchedule.from_dict`` +
-``harness.run_schedule``) that still fails.
+and the smallest sub-schedule that still fails, as JSON and as a
+one-line ``harness.run_schedule(scenario, FaultSchedule.from_dict(...))``
+replay.
 
 Exit status: 0 when every scenario passed, 1 otherwise (CI-red).
 
@@ -30,30 +31,31 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.faultinject import (  # noqa: E402
-    fabric_harness,
-    harness,
-    ingest_harness,
-)
-from repro.faultinject.schedule import FaultSchedule, minimize  # noqa: E402
+from repro.faultinject import harness  # noqa: E402
+from repro.faultinject.schedule import minimize  # noqa: E402
 
 
-def _report_failure(seed: int, report, flag: str, run) -> None:
+def _report_failure(seed: int, report, scenario: str) -> None:
     """Print everything needed to reproduce and debug one failure."""
-    print(f"\nFAIL seed={seed}")
+    print(f"\nFAIL seed={seed} scenario={scenario}")
     print(report.describe())
     print("reproduce with:")
     print(
         "  PYTHONPATH=src python scripts/run_faultinject.py "
-        f"--seed {seed}{flag}"
+        f"--seed {seed} --scenario {scenario}"
     )
     minimal = minimize(
         report.schedule,
-        lambda candidate: not run(candidate).passed,
+        lambda candidate: not harness.run_schedule(scenario, candidate).passed,
     )
     print(f"minimized schedule ({len(minimal.actions)} action(s)):")
     print(f"  {minimal.describe()}")
-    print(f"  {json.dumps(minimal.to_dict())}")
+    wire = json.dumps(minimal.to_dict())
+    print(f"  {wire}")
+    print(
+        f'replay: harness.run_schedule("{scenario}", '
+        f"FaultSchedule.from_dict(json.loads('{wire}')))"
+    )
 
 
 def main(argv=None) -> int:
@@ -79,43 +81,25 @@ def main(argv=None) -> int:
         help="first seed of the sweep (default: 0)",
     )
     parser.add_argument(
-        "--fabric",
-        action="store_true",
-        help="run the fabric scenario (socket shard servers, replica "
-        "reads, online rebalance) instead of the local-store one",
-    )
-    parser.add_argument(
-        "--ingest",
-        action="store_true",
-        help="run the live-ingest scenario (entity-granular "
-        "invalidation, delta subscriptions, acked-ingest durability) "
-        "instead of the local-store one",
+        "--scenario",
+        choices=sorted(harness.SCENARIOS),
+        default="local",
+        help="local: 2-shard store, offline rebalance/compact; fabric: "
+        "socket shard servers, replica reads, online rebalance; ingest: "
+        "live ingest, delta subscriptions, acked-ingest durability "
+        "(default: local)",
     )
     args = parser.parse_args(argv)
-    if args.fabric and args.ingest:
-        parser.error("--fabric and --ingest are mutually exclusive")
 
     seeds = (
         [args.seed]
         if args.seed is not None
         else list(range(args.base_seed, args.base_seed + args.schedules))
     )
-    if args.fabric:
-        flag = " --fabric"
-        run_seed = fabric_harness.run_fabric_scenario
-        run_schedule = fabric_harness.run_fabric_schedule
-    elif args.ingest:
-        flag = " --ingest"
-        run_seed = ingest_harness.run_scenario
-        run_schedule = ingest_harness.run_schedule
-    else:
-        flag = ""
-        run_seed = harness.run_scenario
-        run_schedule = harness.run_schedule
     started = time.perf_counter()
     failures = 0
     for seed in seeds:
-        report = run_seed(seed)
+        report = harness.run_scenario(args.scenario, seed)
         fired = len(report.fired)
         if report.passed:
             print(
@@ -124,7 +108,7 @@ def main(argv=None) -> int:
             )
         else:
             failures += 1
-            _report_failure(seed, report, flag, run_schedule)
+            _report_failure(seed, report, args.scenario)
     elapsed = time.perf_counter() - started
     print(
         f"\n{len(seeds)} schedule(s), {failures} failure(s), "

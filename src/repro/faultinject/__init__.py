@@ -14,10 +14,11 @@ Four import-light modules (stdlib only — the serving layer imports
 - :mod:`repro.faultinject.checker` — the offline
   :class:`~repro.faultinject.checker.MonotonicFreshnessChecker`.
 
-The end-to-end scenario runner lives in
-``repro.faultinject.harness`` and is *not* imported here: it pulls in
-the whole core + serving stack, which production call sites of
-``fault_point`` must not do transitively.
+The end-to-end scenarios live in ``repro.faultinject.harness`` — one
+base and three scenario definitions (``local``, ``fabric``,
+``ingest``) — and are *not* imported here: they pull in the whole
+core + serving stack, which production call sites of ``fault_point``
+must not do transitively.
 """
 
 from repro.faultinject.checker import (

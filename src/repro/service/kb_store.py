@@ -160,6 +160,20 @@ class EntrySignature:
         )
 
 
+def load_signature(store, sig: EntrySignature) -> Optional[KnowledgeBase]:
+    """Load the KB behind ``sig`` from any store-shaped object (a
+    shard, a routed or a remote store); None when the entry is gone."""
+    return store.load(
+        sig.query,
+        corpus_version=sig.corpus_version,
+        mode=sig.mode,
+        algorithm=sig.algorithm,
+        source=sig.source,
+        num_documents=sig.num_documents,
+        config_digest=sig.config_digest,
+    )
+
+
 class KbStore:
     """SQLite-backed persistence for served query results.
 
@@ -821,4 +835,4 @@ class KbStore:
             return out
 
 
-__all__ = ["EntrySignature", "KbStore"]
+__all__ = ["EntrySignature", "KbStore", "load_signature"]

@@ -96,7 +96,7 @@ from repro.service.fabric.cluster import Fabric
 from repro.service.ingest.pipeline import IngestPipeline
 from repro.service.ingest.subscriptions import SubscriptionRegistry
 from repro.service.ingest.versions import EntityVersionVector
-from repro.service.kb_store import KbStore
+from repro.service.kb_store import KbStore, load_signature
 from repro.service.search.query import search_paginated, store_backends
 from repro.service.sharding import ShardedKbStore
 from repro.service.stage_cache import (
@@ -1538,15 +1538,7 @@ class QKBflyService:
         # most-recently-used: newest-first insertion would put the
         # hottest candidates first in line for LRU eviction.
         for key, sig in reversed(selected):
-            kb = self.store.load(
-                sig.query,
-                corpus_version=sig.corpus_version,
-                mode=sig.mode,
-                algorithm=sig.algorithm,
-                source=sig.source,
-                num_documents=sig.num_documents,
-                config_digest=sig.config_digest,
-            )
+            kb = load_signature(self.store, sig)
             if kb is None:  # deleted between listing and load
                 continue
             self.cache.put(key, kb)

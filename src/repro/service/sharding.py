@@ -49,7 +49,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.faultinject.points import fault_point
 from repro.kb.facts import KnowledgeBase
-from repro.service.kb_store import EntrySignature, KbStore
+from repro.service.kb_store import EntrySignature, KbStore, load_signature
 
 DEFAULT_NUM_SHARDS = 4
 MANIFEST_NAME = "shards.json"
@@ -899,15 +899,7 @@ class ShardedKbStore:
             for sig in shard.signatures():
                 fault_point("sharding.online_rebalance.copy",
                             query=sig.query)
-                kb = shard.load(
-                    sig.query,
-                    corpus_version=sig.corpus_version,
-                    mode=sig.mode,
-                    algorithm=sig.algorithm,
-                    source=sig.source,
-                    num_documents=sig.num_documents,
-                    config_digest=sig.config_digest,
-                )
+                kb = load_signature(shard, sig)
                 if kb is None:
                     continue  # deleted while the mover was walking
                 target_index = shard_index(
@@ -986,29 +978,16 @@ class ShardedKbStore:
             return self._target is not None
 
 
-def _load_signature(store, sig: EntrySignature) -> KnowledgeBase:
-    """Load the KB behind a signature from any store-shaped object."""
-    kb = store.load(
-        sig.query,
-        corpus_version=sig.corpus_version,
-        mode=sig.mode,
-        algorithm=sig.algorithm,
-        source=sig.source,
-        num_documents=sig.num_documents,
-        config_digest=sig.config_digest,
-    )
-    if kb is None:  # pragma: no cover - signatures() and load() disagree
-        raise RuntimeError(f"store lost the entry for {sig!r} mid-copy")
-    return kb
-
-
 def _copy_entries(source, target) -> int:
     """Re-save every entry of ``source`` into ``target``; returns count."""
     copied = 0
     for sig in source.signatures():
+        kb = load_signature(source, sig)
+        if kb is None:  # pragma: no cover - signatures() and load() disagree
+            raise RuntimeError(f"store lost the entry for {sig!r} mid-copy")
         target.save(
             sig.query,
-            _load_signature(source, sig),
+            kb,
             corpus_version=sig.corpus_version,
             mode=sig.mode,
             algorithm=sig.algorithm,

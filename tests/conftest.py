@@ -81,6 +81,24 @@ def service_session(tiny_world, background):
 
 
 @pytest.fixture()
+def fresh_session(tiny_world, background):
+    """A private session per test: ingest swaps the search engine and
+    installs a version vector, so such tests must not share the
+    session-scoped ``service_session`` fixture."""
+    from repro.core.qkbfly import SessionState
+    from repro.corpus.retrieval import SearchEngine
+
+    return SessionState(
+        entity_repository=tiny_world.entity_repository,
+        pattern_repository=tiny_world.pattern_repository,
+        statistics=background.statistics,
+        search_engine=SearchEngine.from_world(
+            tiny_world, background.documents
+        ),
+    )
+
+
+@pytest.fixture()
 def process_document_calls(monkeypatch):
     """The doc id of every ``QKBfly.process_document`` call made while
     the test runs — the graph stages' execution count, which the

@@ -1,31 +1,30 @@
 """Fault injection against the multi-node fabric: kill a shard server
 mid-save, drop connections mid-read, crash the online rebalance at its
-copy and cutover points — and prove, via the PR 7 harness machinery,
-that the freshness checker stays green and every acknowledged write
-survives (or the attempt rolls back atomically and is retried).
+copy and cutover points — and prove, via the fault harness, that the
+freshness checker stays green and every acknowledged write survives
+(or the attempt rolls back atomically and is retried).
 
 Clusters:
 
 1. targeted schedules against a live server/client pair — the typed
    failure surfaces (retry absorbs a server crash, a dropped
    connection, a stale write_seq) without any scenario scaffolding;
-2. targeted schedules through :func:`run_fabric_schedule` — the full
-   serve/refresh/rebalance/verify scenario under one named fault each,
-   asserting the scenario's own invariants (no freshness violations,
-   no lost acknowledged writes, entries readable from the bare shard
-   files after shutdown);
-3. seeded-replay determinism — the property CI leans on: a red seed
-   replays to the identical schedule, fired log, and verdict.
+2. targeted schedules through ``run_schedule("fabric", ...)`` — the
+   full serve/refresh/rebalance/verify scenario under one named fault
+   each, asserting the scenario's own invariants (no freshness
+   violations, no lost acknowledged writes, entries readable from the
+   bare shard files after shutdown).
+
+Seeded-replay determinism for this scenario is one case of
+``tests/test_faultinject.py::test_scenario_seeded_replay_is_identical``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faultinject import fabric_harness
-from repro.faultinject.fabric_harness import run_fabric_schedule
-from repro.faultinject.harness import schedule_for_seed
-from repro.faultinject.points import CATALOG, inject
+from repro.faultinject.harness import run_schedule
+from repro.faultinject.points import inject
 from repro.faultinject.schedule import FaultAction, FaultSchedule
 from repro.kb.facts import ARG_ENTITY, Argument, Fact, KbBuilder, KnowledgeBase
 from repro.service.fabric import RemoteKbStore, ShardServer
@@ -45,12 +44,6 @@ def _kb(tag: str) -> KnowledgeBase:
         )
     )
     return kb.build()
-
-#: A seed whose generated schedule actually fires fabric faults in the
-#: scenario (verified by the sweep tally; asserted below so drift in
-#: the catalog or generator turns this into a loud failure, not a
-#: silently weaker test).
-FIRING_SEED = 5
 
 
 # ---- targeted faults against a server/client pair ---------------------------
@@ -134,7 +127,7 @@ def _assert_scenario_invariants(report):
 
 
 def test_scenario_clean_schedule_baseline():
-    report = run_fabric_schedule(FaultSchedule(actions=()))
+    report = run_schedule("fabric", FaultSchedule(actions=()))
     _assert_scenario_invariants(report)
     assert report.counts["crashes"] == 0
     assert not report.fired
@@ -143,7 +136,8 @@ def test_scenario_clean_schedule_baseline():
 def test_scenario_shard_server_killed_mid_save():
     # Three server-side crashes: each kills one request handler dead
     # (no reply), which the remote client must absorb by retrying.
-    report = run_fabric_schedule(
+    report = run_schedule(
+        "fabric",
         FaultSchedule(
             actions=(
                 FaultAction("fabric.server.handle", 1, "crash"),
@@ -160,7 +154,8 @@ def test_scenario_shard_server_killed_mid_save():
 
 
 def test_scenario_crash_during_online_rebalance_copy_and_cutover():
-    report = run_fabric_schedule(
+    report = run_schedule(
+        "fabric",
         FaultSchedule(
             actions=(
                 FaultAction("sharding.online_rebalance.copy", 1, "crash"),
@@ -180,7 +175,8 @@ def test_scenario_crash_during_online_rebalance_copy_and_cutover():
 
 
 def test_scenario_replication_crash_with_refresh_in_flight():
-    report = run_fabric_schedule(
+    report = run_schedule(
+        "fabric",
         FaultSchedule(
             actions=(
                 FaultAction("fabric.replicate.entry", 1, "crash"),
@@ -194,30 +190,3 @@ def test_scenario_replication_crash_with_refresh_in_flight():
     assert any(
         point == "fabric.replicate.entry" for point, _, _ in report.fired
     )
-
-
-# ---- seeded-replay determinism ----------------------------------------------
-
-
-def test_fabric_schedule_is_a_pure_function_of_its_seed():
-    first = schedule_for_seed(FIRING_SEED)
-    second = schedule_for_seed(FIRING_SEED)
-    assert first.to_dict() == second.to_dict()
-    # The fabric scenario shares the base harness's schedule: every
-    # catalog point, the fabric transport, server, replication, and
-    # online-rebalance points included, is eligible.
-    eligible = set(CATALOG)
-    assert {action.point for action in first.actions} <= eligible
-
-
-def test_fabric_scenario_seeded_replay_is_identical():
-    first = fabric_harness.run_fabric_scenario(FIRING_SEED)
-    second = fabric_harness.run_fabric_scenario(FIRING_SEED)
-    assert first.schedule.to_dict() == second.schedule.to_dict()
-    # This seed actually fires faults — otherwise the replay assertion
-    # below would be vacuous (see FIRING_SEED).
-    assert first.fired, "FIRING_SEED no longer fires; pick a new seed"
-    assert first.fired == second.fired
-    assert first.passed == second.passed
-    assert first.violations == second.violations
-    assert first.errors == second.errors

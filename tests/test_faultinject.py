@@ -9,21 +9,26 @@ Four clusters:
    (per-client freshness monotonicity, known versions, digest
    integrity) is *mutation-tested*: a deliberately corrupted history
    must be flagged;
-3. end-to-end scenario — same seed ⇒ identical schedule, fired log and
-   verdict; crash schedules recover; injected-violation mutation at
-   the scenario level;
-4. crash-safety regressions for the satellite bugfixes — rebalance
-   directory fsync, BaseException-safe save/compact rollback, the
-   process-pool worker-kill hook.
+3. end-to-end scenarios — for each of ``local``, ``fabric`` and
+   ``ingest``: schedules are pure functions of their seed, and the same
+   seed ⇒ identical schedule, fired log and verdict; crash schedules
+   recover; injected-violation mutation at the scenario level; the
+   sweep driver prints a replay that names the failing scenario;
+4. crash-safety regressions — rebalance directory fsync and
+   BaseException-safe save/compact rollback.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from repro.faultinject import harness
 from repro.faultinject import points as fi_points
 from repro.faultinject.checker import (
     VIOLATION_DIVERGENT_CONTENT,
@@ -31,6 +36,7 @@ from repro.faultinject.checker import (
     VIOLATION_UNKNOWN_VERSION,
     MonotonicFreshnessChecker,
 )
+from repro.faultinject.harness import INGEST_POINTS
 from repro.faultinject.history import (
     EVENT_REFRESH,
     EVENT_SERVE,
@@ -310,23 +316,46 @@ def test_checker_explicit_version_order_overrides_derivation():
 # ---- end-to-end scenario ----------------------------------------------------
 
 
-def test_scenario_seeded_replay_is_identical():
-    from repro.faultinject import harness
+@pytest.mark.parametrize(
+    "name, seed", [("local", 5), ("fabric", 5), ("ingest", 11)]
+)
+def test_schedule_for_seed_is_pure(name, seed):
+    first = harness.schedule_for_seed(name, seed)
+    second = harness.schedule_for_seed(name, seed)
+    assert first == second
+    assert first.to_dict() == second.to_dict()
+    # The local and fabric scenarios draw from the whole catalog: the
+    # fabric transport, server, replication and online-rebalance points
+    # included. Ingest schedules stay on its slice.
+    eligible = set(INGEST_POINTS) if name == "ingest" else set(CATALOG)
+    assert {action.point for action in first.actions} <= eligible
 
-    first = harness.run_scenario(7)
-    second = harness.run_scenario(7)
+
+#: A seed whose schedule actually fires faults in every scenario
+#: (asserted below, so drift in the catalog or generator turns the
+#: replay check into a loud failure, not a silently vacuous one).
+FIRING_SEED = 5
+
+
+@pytest.mark.parametrize("name", sorted(harness.SCENARIOS))
+def test_scenario_seeded_replay_is_identical(name):
+    first = harness.run_scenario(name, FIRING_SEED)
+    second = harness.run_scenario(name, FIRING_SEED)
     assert first.schedule == second.schedule
     assert first.schedule.to_dict() == second.schedule.to_dict()
+    assert first.fired, "FIRING_SEED no longer fires; pick a new seed"
     assert first.fired == second.fired
-    assert first.passed and second.passed
-    assert [v.describe() for v in first.violations] == [
-        v.describe() for v in second.violations
-    ]
+    assert first.passed and second.passed, first.describe()
+    assert first.violations == second.violations
+    assert first.errors == second.errors
+    if name == "ingest":
+        # Only the sequential scenario replays its counts exactly; the
+        # threaded ones interleave client serves with the refresh and
+        # the online rebalance.
+        assert first.describe() == second.describe()
 
 
 def test_scenario_crash_schedule_recovers_clean():
-    from repro.faultinject import harness
-
     # A hand-built worst case: torn write + crash inside the rebalance
     # swap window + crash mid-compact, all in one run.
     schedule = FaultSchedule(
@@ -336,7 +365,7 @@ def test_scenario_crash_schedule_recovers_clean():
             FaultAction("kb_store.compact.mid", 2, "crash"),
         )
     )
-    report = harness.run_schedule(schedule)
+    report = harness.run_schedule("local", schedule)
     assert report.passed, report.describe()
     assert report.counts["crashes"] >= 2
     assert report.counts["store_reads"] > 0  # recovery left entries readable
@@ -347,9 +376,7 @@ def test_scenario_crash_schedule_recovers_clean():
 def test_scenario_mutation_injected_stale_serve_fails():
     """The scenario's checker must catch a corrupted history: replay a
     clean run's events with a stale-serve appended."""
-    from repro.faultinject import harness
-
-    report = harness.run_scenario(1)
+    report = harness.run_scenario("local", 1)
     assert report.passed
     # Rebuild the kind of history the scenario records, then corrupt it.
     events = [
@@ -360,6 +387,41 @@ def test_scenario_mutation_injected_stale_serve_fails():
     ]
     violations = MonotonicFreshnessChecker().check(events)
     assert [v.kind for v in violations] == [VIOLATION_STALE_SERVE]
+
+
+def test_driver_failure_prints_a_replay_naming_the_scenario(
+    monkeypatch, capsys
+):
+    """A red sweep must print a seed recipe and a minimized-schedule
+    replay that both rerun the *failing* scenario, not the local one."""
+    spec = importlib.util.spec_from_file_location(
+        "run_faultinject",
+        Path(__file__).resolve().parent.parent / "scripts/run_faultinject.py",
+    )
+    driver = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(driver)
+    ingest = harness.SCENARIOS["ingest"]
+
+    def broken(run):
+        ingest.phases(run)
+        run.report.errors.append("seeded breakage")
+
+    monkeypatch.setitem(
+        harness.SCENARIOS, "ingest", dataclasses.replace(ingest, phases=broken)
+    )
+    status = driver.main(["--scenario", "ingest", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert "--seed 0 --scenario ingest" in out
+    (replay,) = [
+        line for line in out.splitlines() if line.startswith("replay: ")
+    ]
+    report = eval(
+        replay[len("replay: "):],
+        {"harness": harness, "FaultSchedule": FaultSchedule, "json": json},
+    )
+    assert not report.passed
+    assert "seeded breakage" in report.errors
 
 
 # ---- satellite regressions --------------------------------------------------

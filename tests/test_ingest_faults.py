@@ -1,7 +1,7 @@
 """Targeted fault schedules against the live-ingest path.
 
 Deterministic, hand-built schedules (not the randomized sweep — that
-is ``scripts/run_faultinject.py --ingest``) pinning the crash-safety
+is ``scripts/run_faultinject.py --scenario ingest``) pinning the crash-safety
 contract of docs/INGEST.md:
 
 - a crash at ``ingest.commit`` fires *before any mutation*: the
@@ -15,9 +15,9 @@ contract of docs/INGEST.md:
 - a crash at ``subscribe.deliver`` can force *redelivery of an
   unacked* delta but can never *double-deliver an acked* one, on both
   the long-poll and the webhook transport;
-- the seeded ingest scenario of
-  :mod:`repro.faultinject.ingest_harness` passes a sweep and replays
-  deterministically.
+- the seeded ``ingest`` scenario of :mod:`repro.faultinject.harness`
+  passes a sweep (its deterministic replay is one case of
+  ``tests/test_faultinject.py::test_scenario_seeded_replay_is_identical``).
 """
 
 from __future__ import annotations
@@ -30,24 +30,12 @@ from typing import List
 import pytest
 
 from repro.core.qkbfly import SessionState
-from repro.corpus.retrieval import SearchEngine
-from repro.faultinject import ingest_harness
+from repro.faultinject import harness
 from repro.faultinject.history import EVENT_INGEST, HistoryRecorder
 from repro.faultinject.points import SimulatedCrash, inject
 from repro.faultinject.schedule import FaultAction, FaultSchedule
 from repro.service.api import IngestRequest, QueryRequest, WatchRequest
 from repro.service.service import QKBflyService, ServiceConfig
-
-
-def _fresh_session(tiny_world, background) -> SessionState:
-    return SessionState(
-        entity_repository=tiny_world.entity_repository,
-        pattern_repository=tiny_world.pattern_repository,
-        statistics=background.statistics,
-        search_engine=SearchEngine.from_world(
-            tiny_world, background.documents
-        ),
-    )
 
 
 def _top_queries(session: SessionState, count: int) -> List[str]:
@@ -77,9 +65,9 @@ def _crash_at(point: str, hit: int = 1) -> FaultSchedule:
 
 
 def test_crash_mid_commit_rolls_back_atomically(
-    tiny_world, background, tmp_path
+    fresh_session, tmp_path
 ):
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session, tmp_path)
     recorder = HistoryRecorder()
     service.attach_history(recorder)
@@ -133,9 +121,9 @@ def test_crash_mid_commit_rolls_back_atomically(
 
 
 def test_crash_mid_invalidate_recovers_idempotently(
-    tiny_world, background, tmp_path
+    fresh_session, tmp_path
 ):
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session, tmp_path)
     recorder = HistoryRecorder()
     service.attach_history(recorder)
@@ -184,9 +172,9 @@ def test_crash_mid_invalidate_recovers_idempotently(
 
 
 def test_longpoll_crash_redelivers_unacked_but_never_acked(
-    tiny_world, background, tmp_path
+    fresh_session, tmp_path
 ):
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session, tmp_path)
     try:
         queries = _top_queries(session, 2)
@@ -258,9 +246,9 @@ class _CountingReceiver:
 
 
 def test_webhook_crash_before_post_never_double_delivers_acked(
-    tiny_world, background, tmp_path
+    fresh_session, tmp_path
 ):
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session, tmp_path)
     receiver = _CountingReceiver()
     try:
@@ -311,24 +299,9 @@ def test_webhook_crash_before_post_never_double_delivers_acked(
 # ---- the seeded scenario sweep ---------------------------------------------
 
 
-def test_ingest_schedule_for_seed_is_pure():
-    first = ingest_harness.schedule_for_seed(11)
-    second = ingest_harness.schedule_for_seed(11)
-    assert first == second
-    assert all(
-        action.point in ingest_harness.INGEST_POINTS
-        for action in first.actions
-    )
-
-
-def test_ingest_harness_sweep_and_deterministic_replay():
-    reports, failing = ingest_harness.run_schedules(list(range(6)))
+def test_ingest_scenario_sweep_passes():
+    reports, failing = harness.run_schedules("ingest", list(range(6)))
     assert failing == [], "\n\n".join(
         report.describe() for report in reports if not report.passed
     )
     assert any(report.counts["crashes"] for report in reports)
-    # Same seed ⇒ same verdict, counts, and fired log.
-    first = ingest_harness.run_scenario(5)
-    second = ingest_harness.run_scenario(5)
-    assert first.describe() == second.describe()
-    assert first.passed and second.passed

@@ -49,20 +49,6 @@ from repro.service.ingest import (
 from repro.service.service import QKBflyService, ServiceConfig
 
 
-def _fresh_session(tiny_world, background) -> SessionState:
-    """A private session per test: ingest swaps the search engine and
-    installs a version vector, so tests must not share the session-
-    scoped ``service_session`` fixture."""
-    return SessionState(
-        entity_repository=tiny_world.entity_repository,
-        pattern_repository=tiny_world.pattern_repository,
-        statistics=background.statistics,
-        search_engine=SearchEngine.from_world(
-            tiny_world, background.documents
-        ),
-    )
-
-
 def _top_queries(session: SessionState, count: int) -> List[str]:
     entities = sorted(
         session.entity_repository.entities(), key=lambda e: -e.prominence
@@ -133,8 +119,8 @@ def test_version_vector_bump_and_query_slices():
 # ---- touched-entity computation --------------------------------------------
 
 
-def test_compute_touched_collects_entity_names(tiny_world, background):
-    session = _fresh_session(tiny_world, background)
+def test_compute_touched_collects_entity_names(fresh_session):
+    session = fresh_session
     service = _service(session)
     try:
         queries = _top_queries(session, 2)
@@ -153,9 +139,9 @@ def test_compute_touched_collects_entity_names(tiny_world, background):
 
 
 def test_ingest_bumps_versions_and_keeps_corpus_version(
-    tiny_world, background
+    fresh_session
 ):
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session)
     try:
         queries = _top_queries(session, 2)
@@ -187,9 +173,9 @@ def test_ingest_bumps_versions_and_keeps_corpus_version(
 
 
 def test_ingest_update_unions_old_and_new_revision_entities(
-    tiny_world, background
+    fresh_session
 ):
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session)
     try:
         queries = _top_queries(session, 3)
@@ -211,11 +197,11 @@ def test_ingest_update_unions_old_and_new_revision_entities(
         service.close()
 
 
-def test_title_only_update_touches_the_old_title(tiny_world, background):
+def test_title_only_update_touches_the_old_title(fresh_session):
     """Titles are indexed (twice) for retrieval, so a re-ingest that
     changes only the title is an update too: warm queries on the old
     title's name must rotate."""
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session)
     try:
         old_title, new_title = _top_queries(session, 2)
@@ -235,9 +221,9 @@ def test_title_only_update_touches_the_old_title(tiny_world, background):
 
 
 def test_selective_invalidation_untouched_entry_survives_bit_identical(
-    tiny_world, background
+    fresh_session
 ):
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session)
     try:
         queries = _top_queries(session, 4)
@@ -283,9 +269,9 @@ def test_selective_invalidation_untouched_entry_survives_bit_identical(
 
 
 def test_stage_cache_only_rotates_touched_retrieval_entries(
-    tiny_world, background
+    fresh_session
 ):
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session)
     try:
         queries = _top_queries(session, 4)
@@ -319,12 +305,12 @@ def test_stage_cache_only_rotates_touched_retrieval_entries(
 
 
 def test_ingest_builds_the_fragment_queries_then_reuse(
-    tiny_world, background, process_document_calls
+    fresh_session, process_document_calls
 ):
     """``compute_touched`` goes through the fragment stage: the forced
     re-query of a just-ingested document, and a re-ingest of unchanged
     text, find the fragment instead of rebuilding it."""
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session, num_documents=2)
     try:
         target, other = _top_queries(session, 2)
@@ -349,7 +335,7 @@ def test_ingest_builds_the_fragment_queries_then_reuse(
 
 
 def test_ingest_cycle_recomputes_no_static_fingerprint(
-    tiny_world, background, monkeypatch
+    fresh_session, monkeypatch
 ):
     """An ingest rebinds a fresh ``QKBfly`` over the *same* repository
     objects: the millisecond-scale fingerprints behind the stage keys
@@ -364,7 +350,7 @@ def test_ingest_cycle_recomputes_no_static_fingerprint(
     from repro.kb.entity_repository import EntityRepository
     from repro.kb.pattern_repository import PatternRepository
 
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session)
     try:
         target, other = _top_queries(session, 2)
@@ -405,14 +391,14 @@ def test_ingest_cycle_recomputes_no_static_fingerprint(
     ids=["default", "pipeline-triples"],
 )
 def test_replacing_a_retrieved_document_serves_the_fresh_build(
-    tiny_world, background, config
+    fresh_session, config
 ):
     """Bit-identity across an ingest: once a retrieved document is
     replaced, the served KB equals a stage-cache-free build over the
     corpus as it now is — the replaced document's old fragment is
     unreachable (its content is in the key), the untouched document's
     is reused."""
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = QKBflyService(
         session,
         config=config,
@@ -454,12 +440,12 @@ def test_replacing_a_retrieved_document_serves_the_fresh_build(
         service.close()
 
 
-def test_ingests_cool_exactly_the_touched_warm_entries(tiny_world, background):
+def test_ingests_cool_exactly_the_touched_warm_entries(fresh_session):
     """Warm a tier, watch two targets, ingest four documents naming
     them: every warm query is re-served from the cache unless
     ``query_touches`` says an ingest reached it, and each document
     delivers exactly one delta to the watching subscription."""
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session)
     try:
         warm = _top_queries(session, 8)
@@ -497,9 +483,9 @@ def test_ingests_cool_exactly_the_touched_warm_entries(tiny_world, background):
 
 
 def test_fabric_backend_selective_invalidation(
-    tiny_world, background, tmp_path
+    fresh_session, tmp_path
 ):
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(
         session,
         store_path=str(tmp_path / "fabric"),
@@ -581,8 +567,8 @@ def test_watch_request_strict_400_matrix(payload):
 # ---- subscriptions: long-poll on the sync front end ------------------------
 
 
-def test_watch_poll_ack_cycle_and_unwatch(tiny_world, background):
-    session = _fresh_session(tiny_world, background)
+def test_watch_poll_ack_cycle_and_unwatch(fresh_session):
+    session = fresh_session
     service = _service(session)
     try:
         queries = _top_queries(session, 2)
@@ -627,8 +613,8 @@ def test_watch_poll_ack_cycle_and_unwatch(tiny_world, background):
         service.close()
 
 
-def test_ingest_not_matching_watch_delivers_nothing(tiny_world, background):
-    session = _fresh_session(tiny_world, background)
+def test_ingest_not_matching_watch_delivers_nothing(fresh_session):
+    session = fresh_session
     service = _service(session)
     try:
         queries = _top_queries(session, 4)
@@ -653,11 +639,11 @@ def test_ingest_not_matching_watch_delivers_nothing(tiny_world, background):
 # ---- refresh_corpus regression ---------------------------------------------
 
 
-def test_doc_only_refresh_is_entity_granular(tiny_world, background):
+def test_doc_only_refresh_is_entity_granular(fresh_session):
     """A ``refresh_corpus(search_engine=...)`` with no explicit version
     used to clear the whole retrieval tier; it now routes through the
     ingest pipeline, so the unrelated warm query survives."""
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session)
     try:
         queries = _top_queries(session, 4)
@@ -700,11 +686,11 @@ def test_doc_only_refresh_is_entity_granular(tiny_world, background):
 
 
 def test_explicit_version_refresh_still_rotates_globally(
-    tiny_world, background
+    fresh_session
 ):
     """Passing an explicit version keeps the original contract: the
     corpus version rotates and every warm entry goes cold."""
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     service = _service(session)
     try:
         query = _top_queries(session, 1)[0]
@@ -800,10 +786,10 @@ def _gateway(session, **config_kwargs):
     return HttpGateway(service, own_service=True)
 
 
-def test_gateway_ingest_watch_longpoll_roundtrip(tiny_world, background):
+def test_gateway_ingest_watch_longpoll_roundtrip(fresh_session):
     """The full subscriber loop over real sockets: watch, long-poll
     (blocking), ingest from a second connection, delta arrives."""
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     queries = _top_queries(session, 2)
 
     async def scenario():
@@ -860,8 +846,8 @@ def test_gateway_ingest_watch_longpoll_roundtrip(tiny_world, background):
     assert stats["ingest"]["subscriptions"]["subscriptions"] == 1
 
 
-def test_gateway_write_path_strict_400s_and_405s(tiny_world, background):
-    session = _fresh_session(tiny_world, background)
+def test_gateway_write_path_strict_400s_and_405s(fresh_session):
+    session = fresh_session
 
     async def scenario():
         async with _gateway(session) as gateway:
@@ -956,8 +942,8 @@ class _WebhookReceiver:
         self._thread.join(timeout=5)
 
 
-def test_gateway_webhook_delivery_acks_exactly_once(tiny_world, background):
-    session = _fresh_session(tiny_world, background)
+def test_gateway_webhook_delivery_acks_exactly_once(fresh_session):
+    session = fresh_session
     queries = _top_queries(session, 2)
     receiver = _WebhookReceiver()
 
@@ -1020,9 +1006,9 @@ def test_gateway_webhook_delivery_acks_exactly_once(tiny_world, background):
 
 
 def test_webhook_failure_leaves_delta_pending_for_retry(
-    tiny_world, background
+    fresh_session
 ):
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     queries = _top_queries(session, 1)
     receiver = _WebhookReceiver(fail_first=1)
     service = _service(session)
@@ -1059,10 +1045,10 @@ def test_webhook_failure_leaves_delta_pending_for_retry(
 # ---- the async front end ---------------------------------------------------
 
 
-def test_async_front_end_ingest_watch_poll(tiny_world, background):
+def test_async_front_end_ingest_watch_poll(fresh_session):
     from repro.service.async_service import AsyncQKBflyService
 
-    session = _fresh_session(tiny_world, background)
+    session = fresh_session
     queries = _top_queries(session, 1)
 
     async def scenario():
