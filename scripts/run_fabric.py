@@ -20,6 +20,11 @@ shard file and port, and the address table is rewritten (ports are
 pinned after the first launch, so clients reconnect without
 re-reading it). SIGTERM/SIGINT terminate the fleet cleanly.
 
+The servers run this checkout's code, so the services attaching to
+them must run the same release: a request of another frame version
+(``repro.service.fabric.protocol.FRAME_VERSION``) is refused with a
+typed ``ProtocolError`` naming both versions.
+
 This is the deployment shape where shard servers outlive any one
 service process; for tests and single-host serving,
 ``store_backend="fabric"`` without ``fabric_addresses`` launches the

@@ -81,9 +81,10 @@ CATALOG: Dict[str, Tuple[str, ...]] = {
     # not yet sent): drop_conn closes the pooled socket under the
     # request; delay models a slow shard/replica.
     "fabric.remote.request": (KIND_DROP_CONN, KIND_DELAY),
-    # Replicator: one queued write about to propagate to one replica.
-    # crash drops the propagation (the replica stays behind until the
-    # next write or resync), delay widens the replication lag window.
+    # Replicator: one queued write (any op) about to be delivered to
+    # one replica. crash fails the delivery, which fences the replica
+    # out of reads for the client's lifetime; delay widens the
+    # replication lag window.
     "fabric.replicate.entry": (KIND_CRASH, KIND_DELAY),
     # ShardedKbStore.online_rebalance: mover about to copy one entry
     # into its target shard (the double-write window is open).

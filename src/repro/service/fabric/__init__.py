@@ -6,14 +6,16 @@ them through the existing :class:`~repro.service.sharding.ShardedKbStore`
 routing layer, adding replication and online rebalance without
 changing anything above the store seam:
 
-- :mod:`repro.service.fabric.protocol` — length-prefixed JSON framing;
+- :mod:`repro.service.fabric.protocol` — length-prefixed JSON framing
+  and the op table (:data:`~repro.service.fabric.protocol.OPS`) that
+  drives the three pieces below;
 - :mod:`repro.service.fabric.shard_server` — one shard's
   :class:`~repro.service.kb_store.KbStore` served over TCP;
 - :mod:`repro.service.fabric.remote_store` — the client-side
-  :class:`~repro.service.kb_store.KbStore` surface with pooling,
-  timeouts, bounded retry, and typed failure;
-- :mod:`repro.service.fabric.cluster` — replica groups
-  (primary-writes / replica-reads) and the :class:`Fabric`
+  :class:`~repro.service.kb_store.KbBackend` with pooling, timeouts,
+  bounded retry, and typed failure;
+- :mod:`repro.service.fabric.cluster` — replica groups (one ordered
+  replica write path, replica-first reads) and the :class:`Fabric`
   orchestrator the service wires in via
   ``ServiceConfig(store_backend="fabric")``.
 
@@ -29,7 +31,9 @@ from repro.service.fabric.cluster import (
     fabric_replica_paths,
 )
 from repro.service.fabric.protocol import (
+    FRAME_VERSION,
     MAX_FRAME_BYTES,
+    OPS,
     ProtocolError,
     recv_frame,
     send_frame,
@@ -43,8 +47,10 @@ from repro.service.fabric.remote_store import (
 from repro.service.fabric.shard_server import ShardServer
 
 __all__ = [
+    "FRAME_VERSION",
     "Fabric",
     "MAX_FRAME_BYTES",
+    "OPS",
     "ProtocolError",
     "REPLICA_COOLDOWN_SECONDS",
     "RemoteError",

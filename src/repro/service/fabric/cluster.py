@@ -1,18 +1,8 @@
 """Replica groups and the fabric that wires them behind the router.
 
-Three pieces:
-
-- :class:`Replicator` — one background thread per fabric draining a
-  FIFO of primary-acknowledged writes to replicas. In-order delivery
-  per fabric plus the shard server's ``write_seq`` version check means
-  a replica can lag but never regress; a failed delivery is counted
-  and dropped (the replica simply stays behind — reads that miss it
-  fall back to the primary, so nothing acknowledged is ever lost).
-- :class:`ReplicatedShardClient` — the :class:`KbStore` surface over
-  one primary plus R-1 replicas: writes go to the primary
-  synchronously (the ack) and propagate asynchronously; reads fan to
-  the least-loaded healthy replica, fall back to the primary on a
-  miss, and fail a replica over on :class:`ShardUnavailable`.
+- :class:`Replicator` — the fabric's one ordered log of replica writes;
+- :class:`ReplicatedShardClient` — one shard's replica group behind
+  :class:`~repro.service.kb_store.KbBackend`, routed by the op table;
 - :class:`Fabric` — owns the shard servers (in-process, or none in
   connect mode), the replicator, and the :class:`ShardedKbStore`
   whose ``backend_factory`` it supplies — which is also what lets the
@@ -26,17 +16,22 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.faultinject.points import SimulatedCrash, fault_point
-from repro.kb.facts import KnowledgeBase
+from repro.service.fabric.protocol import (
+    INVALIDATE,
+    OPS,
+    PRIMARY_READ,
+    REPLICA_READ,
+    backend_surface,
+)
 from repro.service.fabric.remote_store import (
     RemoteKbStore,
     ShardUnavailable,
     parse_address,
 )
 from repro.service.fabric.shard_server import ShardServer
-from repro.service.kb_store import EntrySignature
 from repro.service.sharding import ShardedKbStore
 
 #: Seconds a replica sits out of the read rotation after a transport
@@ -45,13 +40,25 @@ REPLICA_COOLDOWN_SECONDS = 1.0
 
 
 class Replicator:
-    """Asynchronous, in-order write propagation to replicas."""
+    """The fabric's one ordered log of replica writes.
+
+    Every replica write is queued here as one ``(replica, op, args)``
+    delivery after its primary ack, and one background thread attempts
+    the deliveries in queue order, so a replica applies a group's
+    writes in the order its primary committed them. A delivery that
+    fails — or is submitted after :meth:`stop` — **fences** its
+    replica: the replica's later deliveries are skipped and it leaves
+    the read rotation for good (:meth:`is_fenced`). A replica in the
+    rotation has therefore applied every write sent to it, in order.
+    """
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._queue: deque = deque()
+        self._submitted = 0
+        self._attempted = 0
         self._stopped = False
-        self._idle = True
+        self._fenced: Set[RemoteKbStore] = set()
         self.propagated = 0
         self.dropped = 0
         self._thread = threading.Thread(
@@ -60,57 +67,67 @@ class Replicator:
         self._thread.start()
 
     def submit(
-        self, replica: RemoteKbStore, save_kwargs: Dict[str, Any]
-    ) -> None:
-        """Enqueue one replica delivery (called after the primary ack)."""
+        self, replica: RemoteKbStore, op: str, args: Dict[str, Any]
+    ) -> int:
+        """Queue ``replica.call(op, **args)``; returns the ticket that
+        :meth:`wait` takes."""
         with self._cond:
             if self._stopped:
-                return
-            self._queue.append((replica, save_kwargs))
-            self._idle = False
+                self._fenced.add(replica)
+                self.dropped += 1
+                return self._submitted
+            self._queue.append((replica, op, args))
+            self._submitted += 1
             self._cond.notify_all()
+            return self._submitted
 
     def _run(self) -> None:
         while True:
             with self._cond:
                 while not self._queue and not self._stopped:
-                    self._idle = True
-                    self._cond.notify_all()
                     self._cond.wait()
-                if self._stopped and not self._queue:
-                    self._idle = True
-                    self._cond.notify_all()
+                if not self._queue:
                     return
-                replica, save_kwargs = self._queue.popleft()
-            try:
-                fault_point(
-                    "fabric.replicate.entry",
-                    replica=replica.path,
-                    query=save_kwargs.get("query"),
-                )
-                replica.save(**save_kwargs)
-                delivered = True
-            except SimulatedCrash:
-                delivered = False
-            except Exception:  # noqa: BLE001 - replica lags, reads fall back
-                delivered = False
+                replica, op, args = self._queue.popleft()
+                fenced = replica in self._fenced
+            delivered = False
+            if not fenced:
+                try:
+                    fault_point(
+                        "fabric.replicate.entry", replica=replica.path, op=op
+                    )
+                    replica.call(op, **args)
+                    delivered = True
+                except (SimulatedCrash, Exception):  # noqa: BLE001 - fence
+                    pass
             with self._cond:
+                self._attempted += 1
                 if delivered:
                     self.propagated += 1
                 else:
                     self.dropped += 1
+                    self._fenced.add(replica)
+                self._cond.notify_all()
+
+    def wait(self, ticket: int) -> None:
+        """Block until every delivery up to ``ticket`` was attempted
+        (event-wait, no polling sleep; each attempt is bounded by the
+        replica client's timeout and retries)."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._attempted >= ticket)
 
     def flush(self, timeout: float = 30.0) -> bool:
-        """Block until every queued delivery was attempted (event-wait,
-        no polling sleep); False on timeout."""
-        deadline = time.monotonic() + timeout
+        """Block until every queued delivery was attempted; False on
+        timeout."""
         with self._cond:
-            while self._queue or not self._idle:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(timeout=remaining)
-            return True
+            return self._cond.wait_for(
+                lambda: self._attempted >= self._submitted, timeout=timeout
+            )
+
+    def is_fenced(self, replica: RemoteKbStore) -> bool:
+        """Whether a failed delivery took ``replica`` out of service."""
+        with self._cond:
+            return replica in self._fenced
 
     def stop(self) -> None:
         """Drain the queue, then stop the thread."""
@@ -128,22 +145,18 @@ class Replicator:
             }
 
 
+@backend_surface
 class ReplicatedShardClient:
-    """Primary-writes / replica-reads over one shard's replica group.
+    """One shard's replica group — a primary plus R-1 replicas —
+    behind :class:`~repro.service.kb_store.KbBackend`. Each op takes the
+    path its kind in :data:`~repro.service.fabric.protocol.OPS` names.
 
-    The consistency contract (docs/FABRIC.md):
-
-    - a ``save`` is acknowledged iff the **primary** committed it;
-      replica propagation is asynchronous and may be dropped;
-    - replica reads can therefore *miss* entries the primary has — a
-      miss falls back to the primary, so an acknowledged write is
-      always readable;
-    - the ``write_seq`` carried by every save makes replica apply
-      order irrelevant: a replica ignores deliveries older than what
-      it already holds, so a read served from any replica is never an
-      *earlier* version of an entry than one previously observable
-      there (no stale regression — the property the freshness checker
-      verifies end to end).
+    The contract (docs/FABRIC.md): a write is acknowledged iff the
+    **primary** committed it, and reaches the replicas in primary-ack
+    order; an invalidation returns only after its own replica
+    deliveries were attempted; a replica read comes only from an
+    unfenced replica, so it can *miss* (the primary answers) but never
+    serve an entry the primary dropped before the read began.
     """
 
     def __init__(
@@ -151,14 +164,15 @@ class ReplicatedShardClient:
         primary: RemoteKbStore,
         replicas: Sequence[RemoteKbStore],
         replicator: Replicator,
-        seq: Optional[Callable[[], int]] = None,
     ) -> None:
         self.primary = primary
         self.replicas = list(replicas)
         self._replicator = replicator
         self._lock = threading.Lock()
-        self._seq_counter = 0
-        self._seq = seq or self._next_seq
+        self._write_lock = threading.Lock()
+        # Clock-seeded, so a later client's deliveries are never older
+        # than an earlier client's for the replicas' write_seq check.
+        self._write_seq = time.time_ns()
         self._inflight = [0] * len(self.replicas)
         self._unhealthy_until = [0.0] * len(self.replicas)
         self.replica_reads = 0
@@ -166,26 +180,33 @@ class ReplicatedShardClient:
         self.replica_misses = 0
         self.replica_errors = 0
         self.primary_reads = 0
-        #: KbStore-compatible identity: the primary's address.
+        #: The group's identity in logs and stats: the primary's address.
         self.path = primary.path
 
-    def _next_seq(self) -> int:
-        with self._lock:
-            self._seq_counter += 1
-            return self._seq_counter
+    def call(self, op: str, /, *args: Any, **kwargs: Any) -> Any:
+        """Run backend op ``op`` on the group, routed by its kind."""
+        spec = OPS[op]
+        arguments = spec.bind(*args, **kwargs)
+        if spec.kind == REPLICA_READ:
+            return self._read(op, arguments)
+        if spec.kind == PRIMARY_READ:
+            return self.primary.call(op, **arguments)
+        return self._write(op, arguments, wait=spec.kind == INVALIDATE)
 
     # ---- replica selection -------------------------------------------------
 
     def _pick_replica(self) -> Optional[int]:
         """Least-loaded healthy replica, or None to read the primary."""
-        if not self.replicas:
-            return None
+        serving = [
+            not self._replicator.is_fenced(replica)
+            for replica in self.replicas
+        ]
         now = time.monotonic()
         with self._lock:
             candidates = [
                 (self._inflight[i], i)
                 for i in range(len(self.replicas))
-                if self._unhealthy_until[i] <= now
+                if serving[i] and self._unhealthy_until[i] <= now
             ]
             if not candidates:
                 return None
@@ -202,113 +223,25 @@ class ReplicatedShardClient:
                 )
                 self.replica_errors += 1
 
-    # ---- save / load -------------------------------------------------------
+    # ---- the three paths ---------------------------------------------------
 
-    def save(
-        self,
-        query: str,
-        kb: KnowledgeBase,
-        corpus_version: str,
-        mode: str = "joint",
-        algorithm: str = "greedy",
-        source: str = "wikipedia",
-        num_documents: int = 1,
-        config_digest: str = "",
-        created_at: Optional[float] = None,
-        replace: bool = True,
-    ) -> int:
-        """Write-through to the primary (the ack), then fan out async."""
-        seq = self._seq()
-        save_kwargs = {
-            "query": query,
-            "kb": kb,
-            "corpus_version": corpus_version,
-            "mode": mode,
-            "algorithm": algorithm,
-            "source": source,
-            "num_documents": num_documents,
-            "config_digest": config_digest,
-            "created_at": created_at,
-            "replace": replace,
-            "write_seq": seq,
-        }
-        entry_id = self.primary.save(**save_kwargs)
-        for replica in self.replicas:
-            self._replicator.submit(replica, dict(save_kwargs))
-        return entry_id
-
-    def load(
-        self,
-        query: str,
-        corpus_version: str,
-        mode: str = "joint",
-        algorithm: str = "greedy",
-        source: str = "wikipedia",
-        num_documents: int = 1,
-        config_digest: str = "",
-    ) -> Optional[KnowledgeBase]:
-        """Replica-first read with primary fallback on miss/failure."""
-        kwargs = {
-            "corpus_version": corpus_version,
-            "mode": mode,
-            "algorithm": algorithm,
-            "source": source,
-            "num_documents": num_documents,
-            "config_digest": config_digest,
-        }
+    def _read(self, op: str, arguments: Dict[str, Any]) -> Any:
+        """Replica first; the primary answers a miss, a busy replica
+        (``try_load`` not attempted) or a :class:`ShardUnavailable`."""
         index = self._pick_replica()
         if index is not None:
             with self._lock:
                 self.replica_reads += 1
             failed = False
             try:
-                kb = self.replicas[index].load(query, **kwargs)
+                result = self.replicas[index].call(op, **arguments)
+                attempted, kb = (
+                    result if isinstance(result, tuple) else (True, result)
+                )
                 if kb is not None:
                     with self._lock:
                         self.replica_hits += 1
-                    return kb
-                with self._lock:
-                    self.replica_misses += 1
-            except ShardUnavailable:
-                failed = True
-            finally:
-                self._release_replica(index, failed)
-        with self._lock:
-            self.primary_reads += 1
-        return self.primary.load(query, **kwargs)
-
-    def try_load(
-        self,
-        query: str,
-        corpus_version: str,
-        mode: str = "joint",
-        algorithm: str = "greedy",
-        source: str = "wikipedia",
-        num_documents: int = 1,
-        config_digest: str = "",
-    ) -> Tuple[bool, Optional[KnowledgeBase]]:
-        """Non-blocking read: replica first, primary on miss/busy."""
-        kwargs = {
-            "corpus_version": corpus_version,
-            "mode": mode,
-            "algorithm": algorithm,
-            "source": source,
-            "num_documents": num_documents,
-            "config_digest": config_digest,
-        }
-        index = self._pick_replica()
-        if index is not None:
-            with self._lock:
-                self.replica_reads += 1
-            failed = False
-            try:
-                attempted, kb = self.replicas[index].try_load(
-                    query, **kwargs
-                )
-                if attempted and kb is not None:
-                    with self._lock:
-                        self.replica_hits += 1
-                    return True, kb
+                    return result
                 if attempted:
                     with self._lock:
                         self.replica_misses += 1
@@ -318,104 +251,34 @@ class ReplicatedShardClient:
                 self._release_replica(index, failed)
         with self._lock:
             self.primary_reads += 1
-        return self.primary.try_load(query, **kwargs)
+        return self.primary.call(op, **arguments)
 
-    # ---- meta / maintenance (primary-authoritative) ------------------------
-
-    @property
-    def corpus_version(self) -> str:
-        return self.primary.corpus_version
-
-    def set_corpus_version(self, version: str) -> None:
-        self.primary.set_corpus_version(version)
-        for replica in self.replicas:
+    def _write(self, op: str, arguments: Dict[str, Any], wait: bool) -> Any:
+        """Primary first (the ack), then one queued delivery per
+        replica; an invalidation also waits for those deliveries."""
+        if "created_at" in arguments and arguments["created_at"] is None:
+            # Replicas age the entry from the primary's stamp, so a TTL
+            # compaction drops the same rows on every member.
+            arguments["created_at"] = time.time()
+        acked = False
+        ticket = 0
+        with self._write_lock:
             try:
-                replica.set_corpus_version(version)
-            except ShardUnavailable:
-                pass  # replica resyncs via keyed misses
-
-    def entries(self) -> List[Tuple[str, str, str, str]]:
-        return self.primary.entries()
-
-    def signatures(self, **kwargs) -> List[EntrySignature]:
-        return self.primary.signatures(**kwargs)
-
-    def search_facts(self, params: Dict[str, Any]) -> List[Dict]:
-        # Primary-authoritative: a keyset walk must see one consistent
-        # shard timeline; bouncing pages between primary and a lagging
-        # replica could lose acknowledged rows mid-walk.
-        return self.primary.search_facts(params)
-
-    def search_entities(self, params: Dict[str, Any]) -> List[Dict]:
-        return self.primary.search_entities(params)
-
-    def created_index(self) -> List[Tuple[float, int]]:
-        return self.primary.created_index()
-
-    def delete_entries(self, entry_ids) -> int:
-        ids = [int(entry_id) for entry_id in entry_ids]
-        removed = self.primary.delete_entries(ids)
-        # Replica deletions are best-effort: a lagging replica's extra
-        # rows are keyed like everything else, and the read path only
-        # trusts a replica *hit* when the primary acknowledged that
-        # exact key+version — leftover rows waste space, not truth.
-        for replica in self.replicas:
-            try:
-                replica.delete_entries(ids)
-            except ShardUnavailable:
-                pass
-        return removed
-
-    def delete_stale(self, current_version: str) -> int:
-        removed = self.primary.delete_stale(current_version)
-        for replica in self.replicas:
-            try:
-                replica.delete_stale(current_version)
-            except ShardUnavailable:
-                pass
-        return removed
-
-    def delete_for_entities(self, entities) -> int:
-        entity_list = [str(entity) for entity in entities]
-        removed = self.primary.delete_for_entities(entity_list)
-        # Best-effort on replicas for the same reason as
-        # delete_entries: a replica hit is only trusted when the
-        # primary confirms the key, so a lagging replica's leftover
-        # rows can never resurface an invalidated KB.
-        for replica in self.replicas:
-            try:
-                replica.delete_for_entities(entity_list)
-            except ShardUnavailable:
-                pass
-        return removed
-
-    def compact(
-        self,
-        max_age_seconds: Optional[float] = None,
-        max_entries: Optional[int] = None,
-        now: Optional[float] = None,
-    ) -> int:
-        removed = self.primary.compact(
-            max_age_seconds=max_age_seconds,
-            max_entries=max_entries,
-            now=now,
-        )
-        for replica in self.replicas:
-            try:
-                replica.compact(
-                    max_age_seconds=max_age_seconds,
-                    max_entries=max_entries,
-                    now=now,
-                )
-            except ShardUnavailable:
-                pass
-        return removed
-
-    def stats(self) -> Dict[str, int]:
-        return self.primary.stats()
-
-    def entry_count(self) -> int:
-        return self.primary.entry_count()
+                result = self.primary.call(op, **arguments)
+                acked = True
+            finally:
+                # An invalidation the primary may have applied before
+                # its reply was lost still reaches the replicas:
+                # deleting there only turns a replica hit into a
+                # primary read.
+                if acked or wait:
+                    self._write_seq += 1
+                    args = dict(arguments, write_seq=self._write_seq)
+                    for replica in self.replicas:
+                        ticket = self._replicator.submit(replica, op, args)
+        if wait:
+            self._replicator.wait(ticket)
+        return result
 
     def close(self) -> None:
         self.primary.close()
@@ -423,11 +286,17 @@ class ReplicatedShardClient:
             replica.close()
 
     def fabric_stats(self) -> Dict[str, Any]:
-        """Read fan-out and transport counters for this replica group."""
+        """Read fan-out, fencing and transport counters for this group."""
+        fenced = [
+            replica.path
+            for replica in self.replicas
+            if self._replicator.is_fenced(replica)
+        ]
         with self._lock:
             out: Dict[str, Any] = {
                 "primary": self.primary.path,
                 "replicas": [replica.path for replica in self.replicas],
+                "fenced": fenced,
                 "replica_reads": self.replica_reads,
                 "replica_hits": self.replica_hits,
                 "replica_misses": self.replica_misses,

@@ -1,11 +1,13 @@
-"""Client-side shard backend: the :class:`KbStore` surface over TCP.
+"""Client-side shard backend: the store surface over TCP.
 
 :class:`RemoteKbStore` speaks the fabric protocol to one
 :class:`~repro.service.fabric.shard_server.ShardServer` and implements
-the exact method surface of a local :class:`KbStore`, so
-``ShardedKbStore`` (and therefore the whole serving stack) composes
-local and remote shards through the same backend-factory seam without
-knowing which is which.
+:class:`~repro.service.kb_store.KbBackend`: each surface method comes
+from the op table and forwards to :meth:`RemoteKbStore.call`, which
+binds the arguments against the protocol's signature, encodes them with
+the op's codecs and decodes the result. ``ShardedKbStore`` (and
+therefore the whole serving stack) composes local and remote shards
+through the same backend-factory seam without knowing which is which.
 
 Failure handling is explicit and bounded:
 
@@ -17,9 +19,10 @@ Failure handling is explicit and bounded:
   :class:`ShardUnavailable` naming the shard address — the replicated
   read path catches exactly this type to fail over, and everything
   else propagates as the bug it is;
-- a server-side exception is re-raised here as :class:`RemoteError`
-  immediately (no retry: the server answered, the operation itself
-  failed — retrying a loud ``RuntimeError`` would just repeat it).
+- a server-side exception is re-raised here immediately (no retry:
+  the server answered, the operation itself failed — retrying a loud
+  ``RuntimeError`` would just repeat it): ``SearchUnavailable`` by its
+  type name, everything else as :class:`RemoteError`.
 
 Connections are pooled (a small LIFO free list) and re-checked-in only
 after a complete round trip, so a frame desync can never leak into the
@@ -31,17 +34,18 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faultinject.points import fault_point
-from repro.kb.facts import KnowledgeBase
+from repro.service.api import SearchUnavailable
 from repro.service.fabric.protocol import (
+    FRAME_VERSION,
+    OPS,
     ProtocolError,
+    backend_surface,
     recv_frame,
     send_frame,
 )
-from repro.service.api import SearchUnavailable
-from repro.service.kb_store import EntrySignature
 
 
 def parse_address(address) -> Tuple[str, int]:
@@ -78,8 +82,11 @@ class RemoteError(Exception):
         self.remote_type = remote_type
 
 
+@backend_surface
 class RemoteKbStore:
-    """One shard server, presented as a local :class:`KbStore`.
+    """One shard server, presented as a local store; implements
+    :class:`~repro.service.kb_store.KbBackend` (its methods come from
+    the op table, :data:`~repro.service.fabric.protocol.OPS`).
 
     Args:
         address: ``(host, port)`` or ``"host:port"`` of the shard
@@ -106,7 +113,7 @@ class RemoteKbStore:
         self.retries = retries
         self.backoff_seconds = backoff_seconds
         self.pool_size = pool_size
-        #: KbStore-compatible identity (shard_paths, logs, stats).
+        #: The shard's identity in logs, fault points and stats.
         self.path = f"fabric://{self.address[0]}:{self.address[1]}"
         self._pool: List[socket.socket] = []
         self._pool_lock = threading.Lock()
@@ -150,11 +157,11 @@ class RemoteKbStore:
 
     # ---- request core ------------------------------------------------------
 
-    def _request(self, op: str, args: Dict[str, Any]) -> Any:
-        """One op, with bounded transport retries on fresh sockets."""
+    def _request(self, payload: Dict[str, Any]) -> Any:
+        """One request frame, with bounded transport retries on fresh
+        sockets; returns the result or raises the server's typed error."""
         with self._pool_lock:
             self.requests += 1
-        payload = {"op": op, "args": args}
         last_error: Optional[BaseException] = None
         for attempt in range(self.retries + 1):
             if attempt:
@@ -171,7 +178,9 @@ class RemoteKbStore:
                 # connection drop hits a real in-flight transport, and
                 # the retry path below is what recovers from it.
                 fault_point(
-                    "fabric.remote.request", op=op, drop=sock.close
+                    "fabric.remote.request",
+                    op=payload["op"],
+                    drop=sock.close,
                 )
                 send_frame(sock, payload)
                 response = recv_frame(sock)
@@ -189,248 +198,48 @@ class RemoteKbStore:
             self._checkin(sock)
             if response.get("ok"):
                 return response.get("result")
-            raise RemoteError(
-                str(response.get("type", "Exception")),
-                str(response.get("error", "")),
-            )
+            remote_type = str(response.get("type", "Exception"))
+            message = str(response.get("error", ""))
+            if remote_type == SearchUnavailable.__name__:
+                raise SearchUnavailable(message)
+            raise RemoteError(remote_type, message)
         raise ShardUnavailable(
             self.address,
             f"{type(last_error).__name__}: {last_error} "
             f"after {self.retries + 1} attempt(s)",
         )
 
-    # ---- KbStore surface ---------------------------------------------------
+    # ---- KbBackend surface ------------------------------------------------
 
-    def save(
+    def call(
         self,
-        query: str,
-        kb: KnowledgeBase,
-        corpus_version: str,
-        mode: str = "joint",
-        algorithm: str = "greedy",
-        source: str = "wikipedia",
-        num_documents: int = 1,
-        config_digest: str = "",
-        created_at: Optional[float] = None,
-        replace: bool = True,
+        op: str,
+        /,
+        *args: Any,
         write_seq: Optional[int] = None,
-    ) -> int:
-        """Persist on the shard server; returns the remote entry id.
+        **kwargs: Any,
+    ) -> Any:
+        """Run backend op ``op`` on the shard server, with the arguments
+        of the :class:`~repro.service.kb_store.KbBackend` method of that
+        name. Every surface method forwards here.
 
         ``write_seq`` is the replication version check (see the shard
-        server): deliveries carrying an older sequence than one already
-        applied for the key are ignored server-side.
+        server): a save carrying an older sequence than one already
+        applied for its key is skipped server-side and returns -1.
         """
-        result = self._request(
-            "save",
-            {
-                "query": query,
-                "kb": kb.to_dict(),
-                "corpus_version": corpus_version,
-                "mode": mode,
-                "algorithm": algorithm,
-                "source": source,
-                "num_documents": num_documents,
-                "config_digest": config_digest,
-                "created_at": created_at,
-                "replace": replace,
-                "write_seq": write_seq,
-            },
-        )
-        entry_id = result.get("entry_id")
-        return -1 if entry_id is None else int(entry_id)
-
-    def _sig_args(
-        self,
-        query: str,
-        corpus_version: str,
-        mode: str,
-        algorithm: str,
-        source: str,
-        num_documents: int,
-        config_digest: str,
-    ) -> Dict[str, Any]:
-        return {
-            "query": query,
-            "corpus_version": corpus_version,
-            "mode": mode,
-            "algorithm": algorithm,
-            "source": source,
-            "num_documents": num_documents,
-            "config_digest": config_digest,
+        spec = OPS[op]
+        payload: Dict[str, Any] = {
+            "v": FRAME_VERSION,
+            "op": op,
+            "args": spec.encode_args(spec.bind(*args, **kwargs)),
         }
-
-    def load(
-        self,
-        query: str,
-        corpus_version: str,
-        mode: str = "joint",
-        algorithm: str = "greedy",
-        source: str = "wikipedia",
-        num_documents: int = 1,
-        config_digest: str = "",
-    ) -> Optional[KnowledgeBase]:
-        """Reconstruct a stored KB, or None when the key is absent."""
-        result = self._request(
-            "load",
-            self._sig_args(
-                query, corpus_version, mode, algorithm, source,
-                num_documents, config_digest,
-            ),
-        )
-        return None if result is None else KnowledgeBase.from_dict(result)
-
-    def try_load(
-        self,
-        query: str,
-        corpus_version: str,
-        mode: str = "joint",
-        algorithm: str = "greedy",
-        source: str = "wikipedia",
-        num_documents: int = 1,
-        config_digest: str = "",
-    ) -> Tuple[bool, Optional[KnowledgeBase]]:
-        """Non-blocking load: the *server-side* store lock is probed,
-        so a remote writer mid-save yields ``(False, None)`` here just
-        like a local one would."""
-        result = self._request(
-            "try_load",
-            self._sig_args(
-                query, corpus_version, mode, algorithm, source,
-                num_documents, config_digest,
-            ),
-        )
-        kb = result.get("kb")
-        return (
-            bool(result.get("attempted")),
-            None if kb is None else KnowledgeBase.from_dict(kb),
-        )
-
-    # ---- fact search -------------------------------------------------------
-
-    def _search(self, kind: str, params: Dict[str, Any]) -> List[Dict]:
-        result = self._request(f"search_{kind}", {"params": params})
-        if result.get("unavailable"):
-            raise SearchUnavailable(
-                f"shard {self.path} was built without FTS5; fact search "
-                f"is unavailable"
-            )
-        return list(result.get("rows") or [])
-
-    def search_facts(self, params: Dict[str, Any]) -> List[Dict]:
-        """One remote shard's slice of a paginated fact search."""
-        return self._search("facts", params)
-
-    def search_entities(self, params: Dict[str, Any]) -> List[Dict]:
-        """One remote shard's slice of a paginated entity search."""
-        return self._search("entities", params)
-
-    # ---- meta --------------------------------------------------------------
-
-    @property
-    def corpus_version(self) -> str:
-        """The corpus stamp the shard was last synchronized to."""
-        return str(self._request("get_corpus_version", {}))
-
-    def set_corpus_version(self, version: str) -> None:
-        """Record the corpus stamp on the shard."""
-        self._request("set_corpus_version", {"version": version})
-
-    # ---- maintenance -------------------------------------------------------
-
-    def entries(self) -> List[Tuple[str, str, str, str]]:
-        """(query, mode, algorithm, corpus_version) for every entry."""
-        return [tuple(entry) for entry in self._request("entries", {})]
-
-    def signatures(
-        self,
-        corpus_version: Optional[str] = None,
-        mode: Optional[str] = None,
-        algorithm: Optional[str] = None,
-        config_digest: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> List[EntrySignature]:
-        """Stored entry signatures, newest first (server-side filters)."""
-        return [
-            EntrySignature.from_dict(sig)
-            for sig in self._request(
-                "signatures",
-                {
-                    "corpus_version": corpus_version,
-                    "mode": mode,
-                    "algorithm": algorithm,
-                    "config_digest": config_digest,
-                    "limit": limit,
-                },
-            )
-        ]
-
-    def created_index(self) -> List[Tuple[float, int]]:
-        """(created_at, entry_id) for every entry — compaction input."""
-        return [
-            (float(created_at), int(entry_id))
-            for created_at, entry_id in self._request("created_index", {})
-        ]
-
-    def delete_entries(self, entry_ids: Iterable[int]) -> int:
-        """Drop specific entries; returns the count removed."""
-        return int(
-            self._request(
-                "delete_entries",
-                {"entry_ids": [int(entry_id) for entry_id in entry_ids]},
-            )
-        )
-
-    def delete_stale(self, current_version: str) -> int:
-        """Drop entries from other corpus versions; returns the count."""
-        return int(
-            self._request(
-                "delete_stale", {"current_version": current_version}
-            )
-        )
-
-    def delete_for_entities(self, entities: Iterable[str]) -> int:
-        """Drop entries whose query touches one of ``entities``; the
-        shard server applies the shared match rule to its own rows."""
-        return int(
-            self._request(
-                "delete_for_entities",
-                {"entities": [str(entity) for entity in entities]},
-            )
-        )
-
-    def compact(
-        self,
-        max_age_seconds: Optional[float] = None,
-        max_entries: Optional[int] = None,
-        now: Optional[float] = None,
-    ) -> int:
-        """Server-side TTL/size compaction; returns removed entries."""
-        return int(
-            self._request(
-                "compact",
-                {
-                    "max_age_seconds": max_age_seconds,
-                    "max_entries": max_entries,
-                    "now": now,
-                },
-            )
-        )
-
-    def stats(self) -> Dict[str, int]:
-        """Row counts per table on the shard server."""
-        return {
-            str(table): int(count)
-            for table, count in self._request("stats", {}).items()
-        }
-
-    def entry_count(self) -> int:
-        """Number of entries on the shard (cheap indexed count)."""
-        return int(self._request("entry_count", {}))
+        if write_seq is not None:
+            payload["seq"] = int(write_seq)
+        return spec.result.decode(self._request(payload))
 
     def healthz(self) -> Dict[str, Any]:
         """The server's health envelope (entries, ops, crash count)."""
-        return self._request("healthz", {})
+        return self._request({"v": FRAME_VERSION, "op": "healthz", "args": {}})
 
     def client_stats(self) -> Dict[str, int]:
         """Transport counters for the fabric stats block."""

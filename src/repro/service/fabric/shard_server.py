@@ -1,25 +1,23 @@
 """Socket server exposing one shard's :class:`KbStore` to the fabric.
 
 A :class:`ShardServer` owns exactly one SQLite shard file and serves
-the store surface over the length-prefixed JSON protocol of
-:mod:`repro.service.fabric.protocol`: ``save`` / ``load`` /
-``try_load`` / ``delete_entries`` / ``delete_stale`` / ``compact`` /
-``entry_count`` / ``signatures`` / ``entries`` / ``created_index`` /
-``stats`` / corpus-version meta / ``healthz``. Connections are
-persistent (one frame per request, many requests per connection) and
-handled by the stdlib ``socketserver`` threading mix-in; the store's
-own lock serializes the actual SQLite access, so the server adds
-concurrency at the socket layer without changing the store's
-consistency story.
+every op of :data:`~repro.service.fabric.protocol.OPS` (plus the
+``healthz`` probe) over the length-prefixed JSON protocol of
+:mod:`repro.service.fabric.protocol`: :meth:`ShardServer.dispatch`
+decodes the op's arguments, calls the store method of the same name and
+encodes the result. Connections are persistent (one frame per request,
+many requests per connection) and handled by the stdlib
+``socketserver`` threading mix-in; the store's own lock serializes the
+actual SQLite access, so the server adds concurrency at the socket
+layer without changing the store's consistency story. A request of
+another frame version is answered with a typed ``ProtocolError``.
 
-Replica freshness: ``save`` accepts an optional ``write_seq``. The
-server remembers the highest sequence applied per entry key (in
-memory — a restarted replica is resynchronized by the fabric anyway)
-and ignores a save that carries an *older* sequence than one already
-applied. Asynchronous replication may retry and reorder deliveries;
-this version check is what makes "a replica never regresses an entry
-it has already seen" hold regardless, which is exactly the invariant
-the freshness checker proves end to end.
+Replica freshness: a ``save`` may carry a ``seq``. The server
+remembers the highest sequence applied per entry key, in memory only,
+and skips a save that carries an *older* sequence than one already
+applied, so a retried or reordered delivery never regresses an entry.
+A restarted server forgets these sequences; nothing resynchronizes a
+replica file that missed writes (docs/FABRIC.md, replication).
 
 Runs in-process (``ShardServer(...).start()`` — tests, same-process
 fabrics) or standalone (``python -m repro.service.fabric.shard_server
@@ -34,30 +32,18 @@ import socket
 import socketserver
 import sys
 import threading
+from dataclasses import replace
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.faultinject.points import SimulatedCrash, fault_point
-from repro.kb.facts import KnowledgeBase
 from repro.service.fabric.protocol import (
+    FRAME_VERSION,
+    OPS,
     ProtocolError,
     recv_frame,
     send_frame,
 )
-from repro.service.api import SearchUnavailable
-from repro.service.kb_store import KbStore
-
-
-def _signature_key(args: Dict[str, Any]) -> Tuple[Any, ...]:
-    """The full entry key a ``write_seq`` is tracked under."""
-    return (
-        args["query"],
-        args.get("mode", "joint"),
-        args.get("algorithm", "greedy"),
-        args["corpus_version"],
-        args.get("source", "wikipedia"),
-        int(args.get("num_documents", 1)),
-        args.get("config_digest", ""),
-    )
+from repro.service.kb_store import EntrySignature, KbStore
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -124,11 +110,9 @@ class ShardServer(socketserver.ThreadingTCPServer):
         self.store_path = path
         self.ops_served = 0
         self.crashes = 0
-        self._stats_lock = threading.Lock()
-        self._seq_lock = threading.Lock()
-        self._applied_seq: Dict[Tuple[Any, ...], int] = {}
+        self._lock = threading.Lock()
+        self._applied_seq: Dict[EntrySignature, int] = {}
         self._connections: Set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
         self._serve_thread: Optional[threading.Thread] = None
         self._stopped = False
         super().__init__((host, port), _Handler)
@@ -162,7 +146,7 @@ class ShardServer(socketserver.ThreadingTCPServer):
             # shutdown() waits for serve_forever to exit; calling it
             # without a serving thread would wait forever.
             self.shutdown()
-        with self._connections_lock:
+        with self._lock:
             live = list(self._connections)
         for conn in live:
             try:
@@ -180,166 +164,65 @@ class ShardServer(socketserver.ThreadingTCPServer):
         self.store.close()
 
     def register_connection(self, conn: socket.socket) -> None:
-        with self._connections_lock:
+        with self._lock:
             self._connections.add(conn)
 
     def forget_connection(self, conn: socket.socket) -> None:
-        with self._connections_lock:
+        with self._lock:
             self._connections.discard(conn)
 
     def note_crash(self) -> None:
-        with self._stats_lock:
+        with self._lock:
             self.crashes += 1
 
     # ---- dispatch ----------------------------------------------------------
 
     def dispatch(self, request: Dict[str, Any]) -> Any:
-        """Execute one request against the shard store."""
-        op = request.get("op")
-        args = request.get("args") or {}
-        handler = getattr(self, f"_op_{op}", None)
-        if handler is None:
-            raise ValueError(f"unknown fabric op: {op!r}")
-        with self._stats_lock:
-            self.ops_served += 1
-        return handler(args)
-
-    # Each op mirrors one KbStore method; payloads are the model's own
-    # wire forms (KnowledgeBase.to_dict / EntrySignature.to_dict).
-
-    def _op_save(self, args: Dict[str, Any]) -> Dict[str, Any]:
-        write_seq = args.get("write_seq")
-        if write_seq is not None:
-            key = _signature_key(args)
-            with self._seq_lock:
-                last = self._applied_seq.get(key)
-                if last is not None and int(write_seq) < last:
-                    # A reordered/retried older replication delivery:
-                    # applying it would regress the entry. Skip.
-                    return {"entry_id": None, "applied": False}
-                self._applied_seq[key] = int(write_seq)
-        kb = KnowledgeBase.from_dict(args["kb"])
-        entry_id = self.store.save(
-            args["query"],
-            kb,
-            corpus_version=args["corpus_version"],
-            mode=args.get("mode", "joint"),
-            algorithm=args.get("algorithm", "greedy"),
-            source=args.get("source", "wikipedia"),
-            num_documents=int(args.get("num_documents", 1)),
-            config_digest=args.get("config_digest", ""),
-            created_at=args.get("created_at"),
-            replace=bool(args.get("replace", True)),
-        )
-        return {"entry_id": entry_id, "applied": True}
-
-    def _load_args(self, args: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "corpus_version": args["corpus_version"],
-            "mode": args.get("mode", "joint"),
-            "algorithm": args.get("algorithm", "greedy"),
-            "source": args.get("source", "wikipedia"),
-            "num_documents": int(args.get("num_documents", 1)),
-            "config_digest": args.get("config_digest", ""),
-        }
-
-    def _op_load(self, args: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        kb = self.store.load(args["query"], **self._load_args(args))
-        return None if kb is None else kb.to_dict()
-
-    def _op_try_load(self, args: Dict[str, Any]) -> Dict[str, Any]:
-        attempted, kb = self.store.try_load(
-            args["query"], **self._load_args(args)
-        )
-        return {
-            "attempted": attempted,
-            "kb": None if kb is None else kb.to_dict(),
-        }
-
-    def _op_delete_entries(self, args: Dict[str, Any]) -> int:
-        return self.store.delete_entries(
-            int(entry_id) for entry_id in args.get("entry_ids", [])
-        )
-
-    def _op_delete_stale(self, args: Dict[str, Any]) -> int:
-        return self.store.delete_stale(args["current_version"])
-
-    def _op_delete_for_entities(self, args: Dict[str, Any]) -> int:
-        # The touched-entity list travels over the wire and the match
-        # runs here, against this shard's own rows, with the same
-        # query_touches rule every local tier applies.
-        return self.store.delete_for_entities(
-            [str(entity) for entity in args.get("entities", [])]
-        )
-
-    def _op_compact(self, args: Dict[str, Any]) -> int:
-        return self.store.compact(
-            max_age_seconds=args.get("max_age_seconds"),
-            max_entries=args.get("max_entries"),
-            now=args.get("now"),
-        )
-
-    def _op_entries(self, args: Dict[str, Any]) -> list:
-        return [list(entry) for entry in self.store.entries()]
-
-    def _op_signatures(self, args: Dict[str, Any]) -> list:
-        return [
-            sig.to_dict()
-            for sig in self.store.signatures(
-                corpus_version=args.get("corpus_version"),
-                mode=args.get("mode"),
-                algorithm=args.get("algorithm"),
-                config_digest=args.get("config_digest"),
-                limit=args.get("limit"),
+        """Execute one request against the shard store: look the op up
+        in :data:`~repro.service.fabric.protocol.OPS`, decode its
+        arguments, call the store, encode the result."""
+        version = request.get("v", 1)
+        if version != FRAME_VERSION:
+            raise ProtocolError(
+                f"frame version {version!r} is not served: this shard "
+                f"server speaks version {FRAME_VERSION}"
             )
-        ]
-
-    def _op_created_index(self, args: Dict[str, Any]) -> list:
-        return [list(pair) for pair in self.store.created_index()]
-
-    def _op_stats(self, args: Dict[str, Any]) -> Dict[str, int]:
-        return self.store.stats()
-
-    def _op_entry_count(self, args: Dict[str, Any]) -> int:
-        return self.store.entry_count()
-
-    def _op_get_corpus_version(self, args: Dict[str, Any]) -> str:
-        return self.store.corpus_version
-
-    def _op_set_corpus_version(self, args: Dict[str, Any]) -> bool:
-        self.store.set_corpus_version(args["version"])
-        return True
-
-    def _search(self, kind: str, args: Dict[str, Any]) -> Dict[str, Any]:
-        # FTS5 absence is a *capability*, not a failure: it travels as
-        # a marker in the ok-reply so the client can raise the typed
-        # SearchUnavailable instead of a generic RemoteError.
-        params = args.get("params") or {}
-        try:
-            if kind == "facts":
-                rows = self.store.search_facts(params)
-            else:
-                rows = self.store.search_entities(params)
-        except SearchUnavailable:
-            return {"unavailable": True}
-        return {"rows": rows}
-
-    def _op_search_facts(self, args: Dict[str, Any]) -> Dict[str, Any]:
-        return self._search("facts", args)
-
-    def _op_search_entities(self, args: Dict[str, Any]) -> Dict[str, Any]:
-        return self._search("entities", args)
-
-    def _op_healthz(self, args: Dict[str, Any]) -> Dict[str, Any]:
-        with self._stats_lock:
+        name = request.get("op")
+        op = OPS.get(name)
+        if op is None and name != "healthz":
+            raise ValueError(f"unknown fabric op: {name!r}")
+        with self._lock:
+            self.ops_served += 1
             ops, crashes = self.ops_served, self.crashes
-        return {
-            "ok": True,
-            "path": self.store_path,
-            "entries": self.store.entry_count(),
-            "ops_served": ops,
-            "crashes": crashes,
-        }
+        if op is None:
+            return {
+                "ok": True,
+                "path": self.store_path,
+                "entries": self.store.entry_count(),
+                "ops_served": ops,
+                "crashes": crashes,
+            }
+        args = request.get("args") or {}
+        seq = request.get("seq")
+        if name == "save" and seq is not None and not self._admit(
+            args["key"], int(seq)
+        ):
+            return -1
+        member = getattr(self.store, name)
+        if not op.attribute:
+            member = member(**op.decode_args(args))
+        return op.result.encode(member)
+
+    def _admit(self, key: Dict[str, Any], write_seq: int) -> bool:
+        """The ``write_seq`` check: False for a retried or reordered
+        older delivery, which would regress the entry."""
+        tracked = replace(EntrySignature.from_dict(key), created_at=None)
+        with self._lock:
+            last = self._applied_seq.get(tracked)
+            if last is not None and write_seq < last:
+                return False
+            self._applied_seq[tracked] = write_seq
+            return True
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -37,7 +37,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.faultinject.points import fault_point
 from repro.kb.facts import Argument, EmergingEntity, Fact, KbBuilder, KnowledgeBase
@@ -120,7 +120,10 @@ class EntrySignature:
 
     Everything needed to re-derive the entry's cache key (and therefore
     to warm the in-memory cache from the store) or to re-save the entry
-    into another store (shard migration/rebalancing).
+    into another store (shard migration/rebalancing). Its wire form is
+    also the request key of every keyed fabric op; a key that names no
+    stored row yet (a load, a save stamped by the store) carries
+    ``created_at=None``.
     """
 
     query: str
@@ -130,7 +133,7 @@ class EntrySignature:
     source: str
     num_documents: int
     config_digest: str
-    created_at: float
+    created_at: Optional[float] = None
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict wire form (the fabric protocol ships these)."""
@@ -156,7 +159,11 @@ class EntrySignature:
             source=str(data["source"]),
             num_documents=int(data["num_documents"]),
             config_digest=str(data["config_digest"]),
-            created_at=float(data["created_at"]),
+            created_at=(
+                None
+                if data.get("created_at") is None
+                else float(data["created_at"])
+            ),
         )
 
 
@@ -174,8 +181,126 @@ def load_signature(store, sig: EntrySignature) -> Optional[KnowledgeBase]:
     )
 
 
+class KbBackend(Protocol):
+    """The store surface of one shard backend.
+
+    Exactly the operations that :class:`~repro.service.sharding.
+    ShardedKbStore`, the service and the search fan-out call on a
+    backend. :class:`KbStore` and the fabric's ``RemoteKbStore`` and
+    ``ReplicatedShardClient`` implement it; ``ShardedKbStore`` routes
+    over it and offers the service the same surface minus the per-shard
+    ``delete_signatures`` and ``search_*`` ops. The fabric's op table
+    (:data:`repro.service.fabric.protocol.OPS`) binds its wire calls
+    against these signatures, so their defaults apply in one place.
+    """
+
+    @property
+    def corpus_version(self) -> str:
+        """The corpus stamp the store was last synchronized to."""
+        ...
+
+    def set_corpus_version(self, version: str) -> None:
+        """Record the corpus stamp entries are being written under."""
+        ...
+
+    def save(
+        self,
+        query: str,
+        kb: KnowledgeBase,
+        corpus_version: str,
+        mode: str = "joint",
+        algorithm: str = "greedy",
+        source: str = "wikipedia",
+        num_documents: int = 1,
+        config_digest: str = "",
+        created_at: Optional[float] = None,
+        replace: bool = True,
+    ) -> int:
+        """Persist a query result; returns the entry id."""
+        ...
+
+    def load(
+        self,
+        query: str,
+        corpus_version: str,
+        mode: str = "joint",
+        algorithm: str = "greedy",
+        source: str = "wikipedia",
+        num_documents: int = 1,
+        config_digest: str = "",
+    ) -> Optional[KnowledgeBase]:
+        """Reconstruct a stored KB, or None when the key is absent."""
+        ...
+
+    def try_load(
+        self,
+        query: str,
+        corpus_version: str,
+        mode: str = "joint",
+        algorithm: str = "greedy",
+        source: str = "wikipedia",
+        num_documents: int = 1,
+        config_digest: str = "",
+    ) -> Tuple[bool, Optional[KnowledgeBase]]:
+        """Non-blocking load: ``(attempted, kb)``."""
+        ...
+
+    def signatures(
+        self,
+        corpus_version: Optional[str] = None,
+        mode: Optional[str] = None,
+        algorithm: Optional[str] = None,
+        config_digest: Optional[str] = None,
+        limit: Optional[int] = None,
+    ) -> List[EntrySignature]:
+        """Stored entry signatures, newest first, optionally filtered."""
+        ...
+
+    def delete_signatures(self, signatures: Iterable[EntrySignature]) -> int:
+        """Drop the entries with these keys; returns the count."""
+        ...
+
+    def delete_stale(self, current_version: str) -> int:
+        """Drop entries from other corpus versions; returns the count."""
+        ...
+
+    def delete_for_entities(self, entities: Iterable[str]) -> int:
+        """Drop entries whose query touches one of ``entities``."""
+        ...
+
+    def compact(
+        self,
+        max_age_seconds: Optional[float] = None,
+        max_entries: Optional[int] = None,
+        now: Optional[float] = None,
+    ) -> int:
+        """TTL and size compaction; returns the removed count."""
+        ...
+
+    def entry_count(self) -> int:
+        """Number of stored entries."""
+        ...
+
+    def stats(self) -> Dict[str, int]:
+        """Row counts per table."""
+        ...
+
+    def search_facts(self, params: Dict) -> List[Dict]:
+        """One shard's slice of a paginated fact search."""
+        ...
+
+    def search_entities(self, params: Dict) -> List[Dict]:
+        """One shard's slice of a paginated entity search."""
+        ...
+
+    def close(self) -> None:
+        """Release the backend's connections."""
+        ...
+
+
 class KbStore:
-    """SQLite-backed persistence for served query results.
+    """SQLite-backed persistence for served query results; implements
+    :class:`KbBackend`.
 
     Args:
         path: Database file path, or ``":memory:"`` for an ephemeral
@@ -615,17 +740,6 @@ class KbStore:
 
     # ---- maintenance -------------------------------------------------------
 
-    def entries(self) -> List[Tuple[str, str, str, str]]:
-        """(query, mode, algorithm, corpus_version) for every stored KB."""
-        with self._lock:
-            return [
-                tuple(row)
-                for row in self._conn.execute(
-                    "SELECT query, mode, algorithm, corpus_version "
-                    "FROM kb_entries ORDER BY entry_id"
-                )
-            ]
-
     def signatures(
         self,
         corpus_version: Optional[str] = None,
@@ -679,27 +793,37 @@ class KbStore:
                 for row in self._conn.execute(sql, params)
             ]
 
-    def created_index(self) -> List[Tuple[float, int]]:
-        """(created_at, entry_id) for every entry — compaction input."""
-        with self._lock:
-            return [
-                (float(created_at), int(entry_id))
-                for created_at, entry_id in self._conn.execute(
-                    "SELECT created_at, entry_id FROM kb_entries"
-                )
-            ]
+    def delete_signatures(self, signatures: Iterable[EntrySignature]) -> int:
+        """Drop the entries with these keys (facts etc. cascade;
+        ``created_at`` is ignored); returns the count.
 
-    def delete_entries(self, entry_ids: Iterable[int]) -> int:
-        """Drop specific entries (facts etc. cascade); returns the count."""
-        ids = [(int(entry_id),) for entry_id in entry_ids]
-        if not ids:
+        Keyed, not by entry id: ids are autoincrement values private to
+        one shard file, so a replica that missed a write numbers its
+        rows differently from its primary.
+        """
+        keys = [
+            (
+                sig.query, sig.mode, sig.algorithm, sig.corpus_version,
+                sig.source, sig.num_documents, sig.config_digest,
+            )
+            for sig in signatures
+        ]
+        if not keys:
             return 0
         with self._lock:
-            cur = self._conn.executemany(
-                "DELETE FROM kb_entries WHERE entry_id = ?", ids
-            )
-            self._conn.commit()
-            return cur.rowcount
+            try:
+                cur = self._conn.executemany(
+                    "DELETE FROM kb_entries WHERE query = ? AND mode = ? "
+                    "AND algorithm = ? AND corpus_version = ? AND "
+                    "source = ? AND num_documents = ? AND "
+                    "config_digest = ?",
+                    keys,
+                )
+                self._conn.commit()
+                return cur.rowcount
+            except BaseException:
+                self._conn.rollback()
+                raise
 
     def compact(
         self,
@@ -835,4 +959,4 @@ class KbStore:
             return out
 
 
-__all__ = ["EntrySignature", "KbStore", "load_signature"]
+__all__ = ["EntrySignature", "KbBackend", "KbStore", "load_signature"]

@@ -30,8 +30,8 @@ silently become unreachable). Two re-routing paths exist:
   this off :meth:`ShardedKbStore.shard_entry_counts`.
 
 Shard backends are pluggable: ``backend_factory`` maps
-``(shard_index, path)`` to any object with the :class:`KbStore`
-surface, which is how the fabric composes remote socket-served shards
+``(shard_index, path)`` to any :class:`~repro.service.kb_store.KbBackend`,
+which is how the fabric composes remote socket-served shards
 (:mod:`repro.service.fabric`) with the same routing layer that serves
 local files.
 """
@@ -49,7 +49,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.faultinject.points import fault_point
 from repro.kb.facts import KnowledgeBase
-from repro.service.kb_store import EntrySignature, KbStore, load_signature
+from repro.service.kb_store import (
+    EntrySignature,
+    KbBackend,
+    KbStore,
+    load_signature,
+)
 
 DEFAULT_NUM_SHARDS = 4
 MANIFEST_NAME = "shards.json"
@@ -60,8 +65,8 @@ SERVING_MARKER_NAME = "serving.pid"
 _SHARD_FILE_TEMPLATE = "shard-{:03d}.sqlite"
 _SHARD_GEN_FILE_TEMPLATE = "shard-g{}-{:03d}.sqlite"
 
-#: A shard backend: anything exposing the KbStore surface.
-BackendFactory = Callable[[int, str], KbStore]
+#: Maps ``(shard_index, path)`` to the backend serving that shard.
+BackendFactory = Callable[[int, str], KbBackend]
 
 #: Directories currently open for serving in *this* process (resolved
 #: path -> open-store count). The offline rebalance guard checks this
@@ -139,7 +144,7 @@ class _RebalanceTarget:
     """The staging side of one in-flight online rebalance."""
 
     def __init__(
-        self, num_shards: int, generation: int, shards: List[KbStore]
+        self, num_shards: int, generation: int, shards: List[KbBackend]
     ) -> None:
         self.num_shards = num_shards
         self.generation = generation
@@ -149,10 +154,11 @@ class _RebalanceTarget:
 class ShardedKbStore:
     """Drop-in :class:`KbStore` replacement over N shard backends.
 
-    Exposes the same ``save`` / ``load`` / ``entries`` / ``signatures``
-    / ``delete_stale`` / ``compact`` / ``stats`` surface; reads and
-    writes delegate to exactly one shard, maintenance operations
-    aggregate over all of them.
+    Offers the service the :class:`~repro.service.kb_store.KbBackend`
+    surface minus its per-shard ops (``delete_signatures``, and the
+    ``search_*`` slices, which the search fan-out asks each backend of
+    :meth:`shard_backends` for); reads and writes delegate to exactly
+    one shard, maintenance operations aggregate over all of them.
 
     Args:
         directory: Directory holding the shard files and the manifest;
@@ -202,7 +208,7 @@ class ShardedKbStore:
             lambda index, shard_path: KbStore(shard_path)
         )
         self._reclaim_stale_generations(path)
-        self._shards: List[KbStore] = [
+        self._shards: List[KbBackend] = [
             self._backend_factory(
                 i, str(path / _shard_file_name(generation, i))
             )
@@ -214,7 +220,7 @@ class ShardedKbStore:
         self._epoch = 0
         self._inflight: Dict[int, int] = {}
         self._target: Optional[_RebalanceTarget] = None
-        self._retired_shards: List[KbStore] = []
+        self._retired_shards: List[KbBackend] = []
         self._retired_files: List[str] = []
         self._closed = False
         self._maintenance = _maintenance
@@ -374,32 +380,7 @@ class ShardedKbStore:
 
     # ---- routing -----------------------------------------------------------
 
-    @property
-    def shard_paths(self) -> List[str]:
-        """Database file path (or fabric address) of every shard."""
-        return [shard.path for shard in self._shards]
-
-    def shard_for(
-        self,
-        query: str,
-        mode: str = "joint",
-        algorithm: str = "greedy",
-        source: str = "wikipedia",
-        num_documents: int = 1,
-        config_digest: str = "",
-    ) -> int:
-        """The shard this signature routes to (exposed for tests/ops)."""
-        return shard_index(
-            query,
-            self.num_shards,
-            mode=mode,
-            algorithm=algorithm,
-            source=source,
-            num_documents=num_documents,
-            config_digest=config_digest,
-        )
-
-    def shard_backends(self) -> List[KbStore]:
+    def shard_backends(self) -> List[KbBackend]:
         """Frozen snapshot of the shard backends, in shard order.
 
         The search fan-out (:func:`repro.service.search.query.
@@ -588,13 +569,6 @@ class ShardedKbStore:
 
     # ---- maintenance -------------------------------------------------------
 
-    def entries(self) -> List[Tuple[str, str, str, str]]:
-        """(query, mode, algorithm, corpus_version) across all shards."""
-        out: List[Tuple[str, str, str, str]] = []
-        for shard in self._shards:
-            out.extend(shard.entries())
-        return out
-
     def signatures(
         self,
         corpus_version: Optional[str] = None,
@@ -694,20 +668,23 @@ class ShardedKbStore:
                     max_age_seconds=max_age_seconds, now=now
                 )
         if max_entries is not None:
-            index: List[Tuple[float, int, int]] = []
+            # Select by key from the signatures, delete by key: entry
+            # ids are private to one shard file (a replica group's
+            # members number the same entries differently).
+            ranked: List[Tuple[float, int, int, EntrySignature]] = []
             for shard_no, shard in enumerate(self._shards):
-                index.extend(
-                    (created_at, shard_no, entry_id)
-                    for created_at, entry_id in shard.created_index()
+                ranked.extend(
+                    (sig.created_at, shard_no, -rank, sig)
+                    for rank, sig in enumerate(shard.signatures())
                 )
             budget = max(0, int(max_entries))
-            if len(index) > budget:
-                index.sort(reverse=True)  # newest first
-                doomed: Dict[int, List[int]] = {}
-                for _, shard_no, entry_id in index[budget:]:
-                    doomed.setdefault(shard_no, []).append(entry_id)
-                for shard_no, entry_ids in doomed.items():
-                    removed += self._shards[shard_no].delete_entries(entry_ids)
+            if len(ranked) > budget:
+                ranked.sort(key=lambda item: item[:3], reverse=True)
+                doomed: Dict[int, List[EntrySignature]] = {}
+                for _, shard_no, _, sig in ranked[budget:]:
+                    doomed.setdefault(shard_no, []).append(sig)
+                for shard_no, sigs in doomed.items():
+                    removed += self._shards[shard_no].delete_signatures(sigs)
         return removed
 
     def stats(self) -> Dict[str, int]:

@@ -5,13 +5,17 @@ Clusters:
 
 1. wire protocol — framing round-trips, torn/oversized/malformed
    frames are typed errors, never half-parsed messages;
-2. shard server + remote client — the full KbStore surface over TCP,
-   typed remote errors, bounded retry into ``ShardUnavailable``, and
-   the ``write_seq`` version check that makes replica redelivery
-   order-safe;
+2. shard server + remote client — reconnects, bounded retry into
+   ``ShardUnavailable``, the ``write_seq`` version check that makes
+   replica redelivery order-safe, and the frame-version refusal (the
+   full surface runs in ``tests/test_store_contract.py``);
 3. replica groups — primary-write/replica-read fan-out, miss and
    failure fallback to the primary, replication lag never serving a
-   version the key didn't ask for;
+   version the key didn't ask for, and the one ordered write path:
+   an invalidation is not overtaken by a queued save, a failed
+   delivery fences its replica, compaction deletes by key, a new
+   client's writes are not taken for older ones, and concurrent
+   writers leave the replica equal to the primary;
 4. the fabric — local-vs-fabric backend equivalence (including
    end-to-end through a real service), online rebalance while writes
    continue, resume-after-crash, and the abort path;
@@ -19,8 +23,9 @@ Clusters:
    for serving (in-process or via a live ``serving.pid``) must refuse
    loudly instead of corrupting it;
 6. hypothesis properties — backend equivalence, replica-read version
-   safety under lag, and online rebalance preserving the exact entry
-   set under concurrent writes.
+   safety under lag, a replica group never serving what its primary
+   dropped, and online rebalance preserving the exact entry set under
+   concurrent writes.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -39,10 +45,10 @@ from repro.faultinject.points import SimulatedCrash, inject
 from repro.faultinject.schedule import FaultAction, FaultSchedule
 from repro.kb.facts import ARG_ENTITY, Argument, Fact, KbBuilder, KnowledgeBase
 from repro.service.fabric import (
+    FRAME_VERSION,
     Fabric,
     MAX_FRAME_BYTES,
     ProtocolError,
-    RemoteError,
     RemoteKbStore,
     ReplicatedShardClient,
     Replicator,
@@ -52,6 +58,7 @@ from repro.service.fabric import (
     recv_frame,
     send_frame,
 )
+from repro.service.kb_store import load_signature
 from repro.service.service import ServiceConfig
 from repro.service.sharding import SERVING_MARKER_NAME, ShardedKbStore
 
@@ -70,6 +77,18 @@ def _kb(tag: str) -> KnowledgeBase:
         )
     )
     return kb.build()
+
+
+def _keys(store):
+    """(query, mode, algorithm, corpus_version) of every stored entry."""
+    return sorted(
+        (sig.query, sig.mode, sig.algorithm, sig.corpus_version)
+        for sig in store.signatures()
+    )
+
+
+def _queries(store):
+    return {sig.query for sig in store.signatures()}
 
 
 @pytest.fixture()
@@ -154,46 +173,6 @@ def test_parse_address_forms():
 # ---- shard server + remote client -------------------------------------------
 
 
-def test_remote_store_full_surface_round_trip(client):
-    client.set_corpus_version("v1")
-    assert client.corpus_version == "v1"
-    entry_id = client.save("alpha", _kb("alpha"), corpus_version="v1")
-    assert entry_id > 0
-    client.save("beta", _kb("beta"), corpus_version="v1")
-
-    kb = client.load("alpha", corpus_version="v1")
-    assert kb is not None
-    assert kb.to_dict() == _kb("alpha").to_dict()
-    assert client.load("missing", corpus_version="v1") is None
-    attempted, kb = client.try_load("beta", corpus_version="v1")
-    assert attempted and kb.to_dict() == _kb("beta").to_dict()
-
-    assert client.entry_count() == 2
-    assert {entry[0] for entry in client.entries()} == {"alpha", "beta"}
-    sigs = client.signatures()
-    assert {sig.query for sig in sigs} == {"alpha", "beta"}
-    assert len(client.created_index()) == 2
-    assert client.stats()["kb_entries"] == 2
-
-    health = client.healthz()
-    assert health["ok"] and health["entries"] == 2
-
-    assert client.delete_entries([entry_id]) == 1
-    client.save("old", _kb("old"), corpus_version="v0")
-    assert client.delete_stale("v1") == 1
-    assert client.compact(max_age_seconds=10_000_000.0) == 0
-    assert client.entry_count() == 1
-
-
-def test_unknown_op_and_server_side_errors_are_remote_errors(client):
-    with pytest.raises(RemoteError) as excinfo:
-        client._request("no_such_op", {})
-    assert excinfo.value.remote_type == "ValueError"
-    with pytest.raises(RemoteError) as excinfo:
-        client._request("load", {})  # missing required args
-    assert excinfo.value.remote_type == "KeyError"
-
-
 def test_client_reconnects_after_pooled_connection_dies(client):
     client.set_corpus_version("v1")
     client.save("q", _kb("q"), corpus_version="v1")
@@ -239,6 +218,28 @@ def test_write_seq_rejects_reordered_replication_deliveries(client):
     assert (
         client.save("r", _kb("r"), corpus_version="v1", write_seq=1) > 0
     )
+
+
+def test_v1_frame_gets_a_typed_version_error(server):
+    # A version-1 client sent the key as seven flat arguments and no
+    # "v" field; the server must refuse it by name, not misread it.
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        send_frame(
+            sock,
+            {
+                "op": "load",
+                "args": {
+                    "query": "q", "corpus_version": "v1", "mode": "joint",
+                    "algorithm": "greedy", "source": "wikipedia",
+                    "num_documents": 1, "config_digest": "",
+                },
+            },
+        )
+        response = recv_frame(sock)
+    assert response["ok"] is False
+    assert response["type"] == "ProtocolError"
+    assert "version 1" in response["error"]
+    assert f"version {FRAME_VERSION}" in response["error"]
 
 
 def test_shard_server_standalone_subprocess_announces_and_serves(tmp_path):
@@ -299,6 +300,23 @@ def _replica_group(tmp_path, count=2):
     return servers, replicator, group
 
 
+def _hold_replication(monkeypatch):
+    """Hold every replica delivery at its fault point until the
+    returned event is set."""
+    from repro.service.fabric import cluster
+
+    gate = threading.Event()
+    real = cluster.fault_point
+
+    def held(name, **context):
+        if name == "fabric.replicate.entry":
+            assert gate.wait(timeout=30)
+        return real(name, **context)
+
+    monkeypatch.setattr(cluster, "fault_point", held)
+    return gate
+
+
 def _teardown_group(servers, replicator, group):
     replicator.stop()
     group.close()
@@ -314,25 +332,26 @@ def test_replica_reads_hit_after_propagation(tmp_path):
         kb = group.load("q", corpus_version="v1")
         assert kb.to_dict() == _kb("q").to_dict()
         assert group.replica_hits == 1 and group.primary_reads == 0
-        # The replica member really holds the entry.
+        # The replica member really holds the entry, with the primary's
+        # creation stamp (a TTL compaction drops it on both or neither).
         assert servers[1].store.entry_count() == 1
+        assert servers[1].store.signatures() == servers[0].store.signatures()
     finally:
         _teardown_group(servers, replicator, group)
 
 
-def test_lagging_replica_misses_and_primary_answers(tmp_path):
+def test_lagging_replica_misses_and_primary_answers(tmp_path, monkeypatch):
     servers, replicator, group = _replica_group(tmp_path)
+    gate = _hold_replication(monkeypatch)
     try:
-        # Block propagation entirely: the replica stays empty.
-        replicator.stop()
+        # Propagation is held: the replica stays empty.
         group.save("q", _kb("q"), corpus_version="v1")
         kb = group.load("q", corpus_version="v1")
         assert kb is not None
         assert group.replica_misses == 1 and group.primary_reads == 1
     finally:
-        group.close()
-        for srv in servers:
-            srv.stop()
+        gate.set()
+        _teardown_group(servers, replicator, group)
 
 
 def test_dead_replica_fails_over_to_primary(tmp_path):
@@ -356,13 +375,13 @@ def test_dead_replica_fails_over_to_primary(tmp_path):
 
 
 def test_replication_lag_never_serves_a_version_the_key_didnt_ask_for(
-    tmp_path,
+    tmp_path, monkeypatch
 ):
     servers, replicator, group = _replica_group(tmp_path)
     try:
         group.save("q", _kb("old"), corpus_version="v1")
         assert replicator.flush(timeout=10.0)
-        replicator.stop()  # v2 never reaches the replica
+        gate = _hold_replication(monkeypatch)  # v2 is held from the replica
         group.save("q", _kb("new"), corpus_version="v2")
         # Store keys include the corpus version: the lagging replica
         # *misses* the v2 key and the primary answers — it can never
@@ -370,10 +389,148 @@ def test_replication_lag_never_serves_a_version_the_key_didnt_ask_for(
         kb = group.load("q", corpus_version="v2")
         assert kb.to_dict() == _kb("new").to_dict()
         assert group.replica_misses == 1 and group.primary_reads == 1
+        gate.set()
     finally:
-        group.close()
-        for srv in servers:
-            srv.stop()
+        _teardown_group(servers, replicator, group)
+
+
+def test_invalidation_is_not_overtaken_by_a_queued_replica_save(
+    tmp_path, monkeypatch
+):
+    servers, replicator, group = _replica_group(tmp_path)
+    gate = _hold_replication(monkeypatch)
+    try:
+        # The primary acks; the replica's delivery of the save is held.
+        group.save("alice spouse", _kb("a"), corpus_version="v1")
+        removed = []
+        deleter = threading.Thread(
+            target=lambda: removed.append(
+                group.delete_for_entities(["alice"])
+            )
+        )
+        deleter.start()
+        deadline = time.monotonic() + 10.0
+        while servers[0].store.entry_count() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert servers[0].store.entry_count() == 0
+        gate.set()
+        deleter.join(timeout=30)
+        assert not deleter.is_alive()
+        assert removed == [1]
+        assert replicator.flush(timeout=10.0)
+        # The queued save reached the replica before the invalidation
+        # did, so the replica holds nothing the primary dropped.
+        assert servers[1].store.entry_count() == 0
+        assert group.load("alice spouse", corpus_version="v1") is None
+    finally:
+        gate.set()
+        _teardown_group(servers, replicator, group)
+
+
+def test_dropped_replica_invalidation_fences_the_replica(tmp_path):
+    servers, replicator, group = _replica_group(tmp_path)
+    try:
+        group.save("alice spouse", _kb("a"), corpus_version="v1")
+        assert replicator.flush(timeout=10.0)
+        path, port = servers[1].store_path, servers[1].address[1]
+        servers[1].stop()
+        group.replicas[0].retries = 0
+        assert group.delete_for_entities(["alice"]) == 1
+        # The replica comes back holding the entry it never saw deleted.
+        servers[1] = ShardServer(path, port=port)
+        servers[1].start()
+        assert servers[1].store.entry_count() == 1
+        assert group.load("alice spouse", corpus_version="v1") is None
+        assert group.replica_hits == 0 and group.primary_reads == 1
+        assert group.fabric_stats()["fenced"] == [group.replicas[0].path]
+    finally:
+        _teardown_group(servers, replicator, group)
+
+
+def test_compaction_deletes_the_primarys_keys_on_every_member(tmp_path):
+    servers, replicator, group = _replica_group(tmp_path)
+    try:
+        # Offset the replica's entry ids by one row of its own.
+        servers[1].store.save(
+            "extra", _kb("extra"), corpus_version="v1", created_at=50.0
+        )
+        with ShardedKbStore(
+            str(tmp_path / "routed"),
+            num_shards=1,
+            backend_factory=lambda index, path: group,
+        ) as store:
+            for i, query in enumerate("abcd"):
+                store.save(
+                    query, _kb(query), corpus_version="v1",
+                    created_at=100.0 + i,
+                )
+            assert replicator.flush(timeout=10.0)
+            assert store.compact(max_entries=2) == 2
+            assert replicator.flush(timeout=10.0)
+        assert _queries(servers[0].store) == {"c", "d"}
+        assert _queries(servers[1].store) == {"extra", "c", "d"}
+    finally:
+        _teardown_group(servers, replicator, group)
+
+
+def test_a_new_client_writes_through_an_earlier_clients_sequences(tmp_path):
+    servers, replicator, group = _replica_group(tmp_path)
+    fresh = None
+    try:
+        for tag in ("one", "two", "three"):
+            group.save("q", _kb(tag), corpus_version="v1")
+        assert replicator.flush(timeout=10.0)
+        # A restarted service attaches a new client to the same servers.
+        fresh = ReplicatedShardClient(
+            RemoteKbStore(servers[0].address, timeout=5.0),
+            [RemoteKbStore(servers[1].address, timeout=5.0)],
+            replicator,
+        )
+        fresh.save("q", _kb("four"), corpus_version="v1")
+        assert replicator.flush(timeout=10.0)
+        for server in servers:
+            kb = server.store.load("q", corpus_version="v1")
+            assert kb.to_dict() == _kb("four").to_dict()
+    finally:
+        if fresh is not None:
+            fresh.close()
+        _teardown_group(servers, replicator, group)
+
+
+def test_concurrent_writers_leave_the_replica_equal_to_the_primary(tmp_path):
+    # More writers than cores and a short switch interval: a write
+    # queued out of primary-ack order would leave the replica holding
+    # content (or an entry) the primary replaced or dropped.
+    servers, replicator, group = _replica_group(tmp_path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def writer(n: int) -> None:
+            name = "alice" if n % 2 else "bob"
+            for i in range(15):
+                group.save(f"{name} {i % 3}", _kb(f"{n}-{i}"), corpus_version="v1")
+                if i % 5 == 4:
+                    group.delete_for_entities([name])
+
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert replicator.flush(timeout=30.0)
+
+        def contents(server):
+            return sorted(
+                (sig.query, load_signature(server.store, sig).to_dict())
+                for sig in server.store.signatures()
+            )
+
+        assert contents(servers[1]) == contents(servers[0])
+        assert group.fabric_stats()["fenced"] == []
+    finally:
+        sys.setswitchinterval(interval)
+        _teardown_group(servers, replicator, group)
 
 
 # ---- the fabric -------------------------------------------------------------
@@ -385,7 +542,7 @@ def test_fabric_equals_local_backend(tmp_path):
         local.set_corpus_version("v1")
         for q in queries:
             local.save(q, _kb(q), corpus_version="v1")
-        local_entries = sorted(local.entries())
+        local_keys = _keys(local)
         local_counts = local.shard_entry_counts()
         local_kbs = {
             q: local.load(q, corpus_version="v1").to_dict() for q in queries
@@ -397,7 +554,7 @@ def test_fabric_equals_local_backend(tmp_path):
         for q in queries:
             fabric.store.save(q, _kb(q), corpus_version="v1")
         assert fabric.flush_replication(timeout=30.0)
-        assert sorted(fabric.store.entries()) == local_entries
+        assert _keys(fabric.store) == local_keys
         for q in queries:
             assert (
                 fabric.store.load(q, corpus_version="v1").to_dict()
@@ -437,7 +594,7 @@ def test_fabric_online_rebalance_under_concurrent_writes(tmp_path):
         assert moved >= 10
         assert store.num_shards == 4
         expected = {f"pre-{i}" for i in range(10)} | set(written)
-        assert {entry[0] for entry in store.entries()} == expected
+        assert _queries(store) == expected
         for query in expected:
             assert store.load(query, corpus_version="v1") is not None
 
@@ -455,7 +612,9 @@ def test_fabric_stats_shape_and_plan_rebalance(tmp_path):
         assert stats["num_shards"] == 2
         assert stats["servers"] == 4
         assert stats["rebalance_in_progress"] is False
-        assert stats["replication"]["propagated"] == 1
+        # Both shards' set_corpus_version and the one save reach their
+        # group's replica through the ordered write path.
+        assert stats["replication"]["propagated"] == 3
         assert len(stats["shards"]) == 2
         group = stats["shards"][0]
         assert set(group) >= {
@@ -512,7 +671,7 @@ def test_crash_mid_copy_leaves_window_open_resume_and_abort(tmp_path):
         assert not store.rebalance_in_progress()
         assert store.num_shards == 3
         expected = {f"q{i}" for i in range(6)} | {"during"}
-        assert {entry[0] for entry in store.entries()} == expected
+        assert _queries(store) == expected
         # And the abort path: open a fresh window, roll it back.
         schedule = FaultSchedule(
             actions=(
@@ -525,7 +684,7 @@ def test_crash_mid_copy_leaves_window_open_resume_and_abort(tmp_path):
         assert store.abort_online_rebalance()
         assert not store.rebalance_in_progress()
         assert store.num_shards == 3
-        assert {entry[0] for entry in store.entries()} == expected
+        assert _queries(store) == expected
 
 
 # ---- service integration ----------------------------------------------------
@@ -626,7 +785,7 @@ def test_offline_rebalance_refuses_store_open_in_this_process(tmp_path):
     # Closed: the same call succeeds.
     rebalanced = ShardedKbStore.rebalance(directory, 3)
     assert rebalanced.num_shards == 3
-    assert {entry[0] for entry in rebalanced.entries()} == {"q"}
+    assert _queries(rebalanced) == {"q"}
     rebalanced.close()
 
 
@@ -693,7 +852,7 @@ def test_property_fabric_backend_equivalent_to_local(queries, num_shards):
                 for store in (local, fabric.store):
                     store.save(query, _kb(f"t{i}"), corpus_version="v1")
             assert fabric.flush_replication(timeout=30.0)
-            assert sorted(fabric.store.entries()) == sorted(local.entries())
+            assert _keys(fabric.store) == _keys(local)
             assert fabric.store.entry_count() == local.entry_count()
             for query in queries:
                 local_kb = local.load(query, corpus_version="v1")
@@ -746,6 +905,70 @@ def test_property_replica_read_never_regresses_observed_version(saves):
                 assert kb.to_dict() == _kb(tags[-1]).to_dict()
 
 
+_GROUP_QUERIES = ("alice spouse", "bob spouse", "alice bob", "carol")
+_ENTITIES = ("alice", "bob", "carol")
+
+
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("save"), st.integers(0, 3), st.integers(0, 1)),
+            st.tuples(st.just("delete_for_entities"), st.integers(0, 2)),
+            st.tuples(st.just("delete_stale"), st.integers(0, 1)),
+            st.tuples(st.just("flush")),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    fault=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(["crash", "delay"]), st.integers(1, 4)),
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_property_replica_group_never_serves_what_the_primary_dropped(
+    steps, fault
+):
+    """Saves, invalidations and flushes in any order, with at most one
+    failed or slow replica delivery: once a call returns, a group read
+    yields a KB only for a key the primary still holds."""
+    import tempfile
+    from pathlib import Path
+
+    actions = ()
+    if fault is not None:
+        kind, hit = fault
+        actions = (
+            FaultAction("fabric.replicate.entry", hit, kind, seconds=0.05),
+        )
+    with tempfile.TemporaryDirectory() as tmp:
+        servers, replicator, group = _replica_group(Path(tmp))
+        try:
+            saved = set()
+
+            def check():
+                for query, version in saved:
+                    if servers[0].store.load(query, corpus_version=version):
+                        continue
+                    assert group.load(query, corpus_version=version) is None
+
+            with inject(FaultSchedule(actions=actions)):
+                for tag, (op, *args) in enumerate(steps + [("flush",)]):
+                    if op == "save":
+                        key = (_GROUP_QUERIES[args[0]], f"v{args[1]}")
+                        group.save(key[0], _kb(f"t{tag}"), corpus_version=key[1])
+                        saved.add(key)
+                    elif op == "delete_for_entities":
+                        group.delete_for_entities([_ENTITIES[args[0]]])
+                    elif op == "delete_stale":
+                        group.delete_stale(f"v{args[0]}")
+                    else:
+                        assert replicator.flush(timeout=30.0)
+                    check()
+        finally:
+            _teardown_group(servers, replicator, group)
+
+
 @given(
     initial=st.lists(_QUERY, unique=True, min_size=1, max_size=6),
     concurrent=st.lists(_QUERY, unique=True, min_size=1, max_size=6),
@@ -782,7 +1005,7 @@ def test_property_online_rebalance_preserves_exact_entry_set(
                 thread.join()
             assert store.num_shards == new_shards
             expected = sorted(set(initial) | set(concurrent))
-            got = sorted(entry[0] for entry in store.entries())
+            got = sorted(_queries(store))
             assert got == expected
             for query in expected:
                 assert store.load(query, corpus_version="v1") is not None

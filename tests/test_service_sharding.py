@@ -66,8 +66,9 @@ def test_save_load_round_trip_across_shards(sharded):
 
 def test_entry_lives_only_in_its_routed_shard(sharded):
     sharded.save("solo query", _kb("solo"), corpus_version="v1")
-    routed = sharded.shard_for("solo query")
-    for index, path in enumerate(sharded.shard_paths):
+    routed = shard_index("solo query", sharded.num_shards)
+    for index, shard in enumerate(sharded.shard_backends()):
+        path = shard.path
         conn = sqlite3.connect(path)
         count = conn.execute("SELECT COUNT(*) FROM kb_entries").fetchone()[0]
         conn.close()
@@ -80,18 +81,18 @@ def test_aggregated_stats_entries_and_delete_stale(sharded):
         sharded.save(f"q{i}", _kb(f"t{i}"), corpus_version=version)
     assert sharded.stats()["kb_entries"] == 12
     assert sharded.stats()["shards"] == 4
-    assert len(sharded.entries()) == 12
+    assert len(sharded.signatures()) == 12
     removed = sharded.delete_stale("v1")
     assert removed == 4  # i = 0, 3, 6, 9
     assert sharded.stats()["kb_entries"] == 8
-    assert all(version == "v1" for *_, version in sharded.entries())
+    assert all(sig.corpus_version == "v1" for sig in sharded.signatures())
 
 
 def test_corpus_version_meta_set_on_every_shard(sharded):
     sharded.set_corpus_version("v9")
     assert sharded.corpus_version == "v9"
-    for path in sharded.shard_paths:
-        conn = sqlite3.connect(path)
+    for shard in sharded.shard_backends():
+        conn = sqlite3.connect(shard.path)
         row = conn.execute(
             "SELECT value FROM meta WHERE key='corpus_version'"
         ).fetchone()
@@ -175,7 +176,8 @@ def test_rebalance_preserves_every_entry(tmp_path):
             loaded = rebalanced.load(query, corpus_version="v1")
             assert loaded is not None and loaded.to_dict() == kb.to_dict()
             # Every entry sits where the *new* routing expects it.
-            assert rebalanced.shard_for(query) < 5
+            routed = rebalanced.shard_backends()[shard_index(query, 5)]
+            assert routed.load(query, corpus_version="v1") is not None
 
     # Rebalancing to the current count is a no-op open.
     again = ShardedKbStore.rebalance(directory, 5)

@@ -99,7 +99,7 @@ def test_sharded_store_mixed_ops_under_8_threads(tmp_path):
     assert stats["facts"] == stats["kb_entries"]
     assert stats["fact_objects"] == stats["kb_entries"]
     assert stats["entity_records"] == stats["kb_entries"]
-    for query, *_ in store.entries():
+    for query in {sig.query for sig in store.signatures()}:
         loaded = store.load(query, corpus_version="v1")
         assert loaded is not None, f"listed entry {query} vanished"
         _check_kb_identity(query, loaded)

@@ -307,7 +307,7 @@ def test_retrieval_entries_resolve_against_live_search(stage_session):
 # ---- the fragment stage ----------------------------------------------------
 
 
-def test_fragment_count_fence_on_the_overlap_variants_op_list(
+def test_fragment_count_fence_on_the_overlap_variants_ops(
     process_document_calls,
 ):
     """ROADMAP item 2's first fence, exact: the reference world has 240
