@@ -18,7 +18,7 @@ Three rot detectors, stdlib only:
    fields have no class attribute). Tokens whose first component
    resolves nowhere (file names like ``shards.json``, JSON keys) or
    only to a bare submodule (JSON stats paths like
-   ``admission.cost_limited``) are skipped: the check guards real code
+   ``admission.rate_limited``) are skipped: the check guards real code
    symbols against renames, it is not a spell checker. Fenced code
    blocks are ignored.
 3. **Paths** — every *file path* in backticks (a word containing
@@ -194,7 +194,7 @@ def check_symbols(root: Path) -> list:
             if first.endswith("()"):
                 continue  # calls can't anchor a namespace lookup
             # Longest importable module prefix, then attribute-chase
-            # the rest (covers `repro.service.admission.CostBucket` as
+            # the rest (covers `repro.service.admission.TokenBucket` as
             # well as plain stdlib references like `time.monotonic`).
             for cut in range(len(components), 0, -1):
                 if any(part.endswith("()") for part in components[:cut]):

@@ -16,7 +16,7 @@ recorded history with
 :class:`~repro.faultinject.checker.MonotonicFreshnessChecker`:
 
 - ``local`` — a 2-shard SQLite store; refresh racing client threads,
-  an asyncio phase, pool churn, then offline rebalance and compaction
+  an asyncio phase, then offline rebalance and compaction
   under crash injection (:func:`_local_phases`);
 - ``fabric`` — the store behind socket shard servers with replica
   groups and an online rebalance under fire (:func:`_fabric_phases`);
@@ -306,19 +306,18 @@ class ScenarioRun:
 
 
 def _local_phases(run: ScenarioRun) -> None:
-    """Serve, refresh, async, pool churn, then offline maintenance.
+    """Serve, refresh, async, then offline maintenance.
 
     1. **serve v1** — two clients serve the most prominent entities,
        cold then warm, on the sync front end;
     2. **refresh to v2** while client threads keep serving (the swap
        window every freshness bug lives in);
     3. **async** — an asyncio front end serves on the shared deployment;
-    4. **pool churn** — a live resize through the autoscale path;
-    5. **crash maintenance** — the service is closed, then the store is
+    4. **crash maintenance** — the service is closed, then the store is
        rebalanced to 3 shards and compacted *under crash injection*,
        retried until the armed crashes exhaust: the same crash/recover
        loop a real operator runs;
-    6. **verify** — every surviving entry must load completely and hash
+    5. **verify** — every surviving entry must load completely and hash
        to the digest clients were served, so a torn or partially
        rebalanced entry shows up as divergent content.
     """
@@ -353,8 +352,6 @@ def _local_phases(run: ScenarioRun) -> None:
                 await front.aclose()
 
         asyncio.run(async_phase())
-        run.guarded(service._resize_pools, 3)
-        run.guarded(service._resize_pools, 2)
         run.serve_each(queries[:1])
     finally:
         # service.close carries a delay-only fault point, so this

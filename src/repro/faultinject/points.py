@@ -1,7 +1,7 @@
 """Deterministic fault-injection points for the serving tier.
 
 The serving layer's crash-safety claims (atomic saves, recoverable
-rebalance swaps, race-free pool resizes) were asserted in docstrings;
+rebalance swaps, race-free shutdown) were asserted in docstrings;
 this module makes them *executable*. Production modules call
 :func:`fault_point` at the crash-prone spots named in :data:`CATALOG`;
 with no schedule armed the call is a single module-global ``None``
@@ -16,7 +16,7 @@ turns selected hits of selected points into deterministic faults:
   Exception`` cleanup handler that would swallow a real interrupt is
   exposed instead of silently passing the test;
 - ``delay`` — sleep a few milliseconds at the point, deterministically
-  widening a race window (resize-vs-serve, close-vs-dispatch);
+  widening a race window (replication lag, close-vs-dispatch);
 - ``drop_conn`` — invoke the ``drop`` callable in the point's context
   (the fabric client passes one that closes its pooled socket), so a
   TCP connection dies mid-request exactly where a peer reset would
@@ -64,10 +64,7 @@ CATALOG: Dict[str, Tuple[str, ...]] = {
     "sharding.rebalance.mid_swap": (KIND_CRASH, KIND_DELAY),
     # ShardedKbStore.rebalance: swap done, retired copy not reclaimed.
     "sharding.rebalance.pre_reclaim": (KIND_CRASH, KIND_DELAY),
-    # QKBflyService._resize_pools: decision taken, resize not yet
-    # applied (under the autoscale lock).
-    "service.resize_pools": (KIND_CRASH, KIND_DELAY),
-    # QKBflyService.close: marked closed, pool not yet shut down.
+    # QKBflyService.close: long-pollers woken, pool not yet shut down.
     "service.close": (KIND_DELAY,),
     # QKBflyService._begin on behalf of AsyncQKBflyService.serve: cold
     # path, gates passed, flight about to be submitted to the shared

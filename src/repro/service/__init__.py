@@ -7,7 +7,8 @@ serving deployment (see ``docs/ARCHITECTURE.md`` for the full map):
   (:class:`QueryRequest` / :class:`QueryResult`), the
   :class:`QueryStatus` enum, and the typed error taxonomy
   (:class:`ServiceError`, :class:`RateLimited`, :class:`Overloaded`,
-  :class:`PipelineFailure`) every front end speaks;
+  :class:`DeadlineUnmet`, :class:`PipelineFailure`) every front end
+  speaks;
 - :mod:`repro.service.cache` — LRU/TTL query cache keyed on
   (normalized query, mode, algorithm, corpus_version);
 - :mod:`repro.service.stage_cache` — content-addressed caching of the
@@ -23,22 +24,20 @@ serving deployment (see ``docs/ARCHITECTURE.md`` for the full map):
 - :mod:`repro.service.fabric` — the shards served by socket shard
   servers with read replicas and online rebalance, selected with
   ``ServiceConfig(store_backend="fabric")`` (see ``docs/FABRIC.md``);
-- :mod:`repro.service.executor` — thread-pool batch execution with
-  single-flight deduplication over shared session state;
-- :mod:`repro.service.autoscale` — queue-fed worker-pool sizing with
-  hysteresis, enabled by ``ServiceConfig(autoscale_policy=...)``;
+- :mod:`repro.service.executor` — a fixed thread pool
+  (``ServiceConfig.max_workers``) with single-flight deduplication
+  over shared session state;
 - :mod:`repro.service.admission` — per-client token-bucket rate
-  limiting, per-client *cost* budgeting (pipeline-seconds, with a
-  per-shape p95 admit-time estimator), and global queue-depth load
-  shedding whose Retry-After comes from the measured queue-wait
-  window — enforced identically by every front end;
+  limiting, global queue-depth load shedding and deadline admission,
+  both fed by the measured queue-wait window that also sets their
+  Retry-After — enforced identically by every front end;
 - :mod:`repro.service.search` — the fact-search subsystem: per-shard
   FTS5 indexes maintained inside the store's save transaction, keyset
   cursor pagination, and the multi-shard ranked merge behind
   ``GET /v1/facts`` / ``GET /v1/entities`` (see ``docs/SEARCH.md``);
 - :mod:`repro.service.service` — the sync :class:`QKBflyService`
   facade (``serve``/``serve_batch`` envelope entry points, cache
-  warm-up, store compaction, pool sizing);
+  warm-up, store compaction);
 - :mod:`repro.service.async_service` — the asyncio
   :class:`AsyncQKBflyService` front end (hits on the event loop,
   misses dispatched to the executor, asyncio-native single-flight);
@@ -50,17 +49,11 @@ serving deployment (see ``docs/ARCHITECTURE.md`` for the full map):
 
 from repro.service.admission import (
     AdmissionController,
-    CostBucket,
-    CostCharge,
     QueueWaitWindow,
     TokenBucket,
-    cost_shape,
-    ingest_cost_shape,
-    search_cost_shape,
 )
 from repro.service.api import (
     API_VERSION,
-    CostLimited,
     DeadlineUnmet,
     FactSearchRequest,
     FactSearchResult,
@@ -75,13 +68,8 @@ from repro.service.api import (
     SearchUnavailable,
     ServiceError,
     WatchRequest,
-    backend_seconds,
 )
 from repro.service.async_service import AsyncQKBflyService
-from repro.service.autoscale import (
-    AutoscalePolicy,
-    PoolSizer,
-)
 from repro.service.cache import CacheKey, QueryCache, normalize_query
 from repro.service.executor import BatchExecutor
 from repro.service.fabric import (
@@ -117,12 +105,8 @@ __all__ = [
     "API_VERSION",
     "AdmissionController",
     "AsyncQKBflyService",
-    "AutoscalePolicy",
     "BatchExecutor",
     "CacheKey",
-    "CostBucket",
-    "CostCharge",
-    "CostLimited",
     "DeadlineUnmet",
     "EntityVersionVector",
     "EntrySignature",
@@ -137,7 +121,6 @@ __all__ = [
     "Overloaded",
     "QueueWaitWindow",
     "PipelineFailure",
-    "PoolSizer",
     "QKBflyService",
     "QueryCache",
     "QueryRequest",
@@ -157,15 +140,11 @@ __all__ = [
     "SubscriptionRegistry",
     "TokenBucket",
     "WatchRequest",
-    "backend_seconds",
-    "cost_shape",
-    "ingest_cost_shape",
     "normalize_entity",
     "normalize_query",
     "parse_search_query",
     "query_touches",
     "rebuild_index",
-    "search_cost_shape",
     "search_paginated",
     "shard_index",
     "stage_signature",

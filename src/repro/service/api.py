@@ -17,8 +17,7 @@ defined here and nowhere else:
   the content was built under, the stable ``request_key`` signature, and
   a wall-time breakdown (total / store / pipeline seconds);
 - the typed error taxonomy — :class:`ServiceError` (base, HTTP 500),
-  :class:`RateLimited` (429), :class:`CostLimited` (429, the cost
-  budget rather than the request rate), :class:`Overloaded` (503),
+  :class:`RateLimited` (429), :class:`Overloaded` (503),
   :class:`PipelineFailure` (500) — raised by the Python front ends and
   serialized into error envelopes by the HTTP gateway, with
   ``retry_after`` hints where the client can act on them.
@@ -132,22 +131,6 @@ class RateLimited(ServiceError):
     http_status = 429
 
 
-class CostLimited(RateLimited):
-    """The client exceeded its *cost* budget (HTTP 429).
-
-    Same wire semantics as :class:`RateLimited` (status
-    ``rate_limited``, HTTP 429, actionable ``retry_after``), but the
-    distinct ``cost_limited`` code tells the client *which* budget ran
-    out: not its request rate, but the pipeline wall-seconds its
-    requests consumed (see
-    :class:`~repro.service.admission.CostBucket`). The ``retry_after``
-    is the exact refill wait until the estimated cost of the rejected
-    request fits the budget again.
-    """
-
-    code = "cost_limited"
-
-
 class Overloaded(ServiceError):
     """The executor queue is saturated; load was shed (HTTP 503)."""
 
@@ -211,7 +194,6 @@ class PipelineFailure(ServiceError):
 
 _ERROR_CLASSES: Dict[str, type] = {
     RateLimited.code: RateLimited,
-    CostLimited.code: CostLimited,
     Overloaded.code: Overloaded,
     DeadlineUnmet.code: DeadlineUnmet,
     SearchUnavailable.code: SearchUnavailable,
@@ -264,21 +246,6 @@ def wrap_failure(
     )
     failure.__cause__ = error
     return failure
-
-
-def backend_seconds(result: "QueryResult") -> float:
-    """The measured backend cost of one served request, in seconds.
-
-    What cost budgeting charges (:mod:`repro.service.admission`): the
-    persistent-store lookup plus the pipeline run — the work the
-    deployment actually performed for this request. A cache hit
-    consulted neither tier and costs 0.0. A request that *joined* a
-    shared in-flight computation carries the shared run's timings and
-    is charged them in full: every joiner asked for the same expensive
-    work, and charging intent (rather than splitting the bill) is what
-    keeps a client from hiding behind single-flight dedup.
-    """
-    return (result.store_seconds or 0.0) + (result.pipeline_seconds or 0.0)
 
 
 def classify_timeout(
@@ -599,8 +566,8 @@ class FactSearchRequest:
             direct callers get a 400-class error).
         cursor: Opaque ``{sortkey}|{rowid}`` keyset cursor from a prior
             page's ``next_cursor``.
-        client_id: Admission-control identity (search has its own cost
-            shape, so scans cannot starve query traffic).
+        client_id: Admission-control identity (charged to the same
+            rate bucket as the client's queries).
         api_version: Must be ``"v1"``.
     """
 
@@ -761,8 +728,8 @@ class IngestRequest:
         title: Optional title; defaults to ``doc_id`` downstream.
         source: Retrieval channel the document joins (``"news"``
             default, or ``"wikipedia"``).
-        client_id: Admission-control identity; ingest has its own cost
-            shape so bulk feeds cannot starve query traffic.
+        client_id: Admission-control identity (charged to the same
+            rate bucket as the client's queries).
         api_version: Must be ``"v1"``.
     """
 
@@ -1036,7 +1003,6 @@ class WatchRequest:
 
 __all__ = [
     "API_VERSION",
-    "CostLimited",
     "DEFAULT_CLIENT_ID",
     "DeadlineUnmet",
     "FactSearchRequest",
@@ -1055,7 +1021,6 @@ __all__ = [
     "SearchUnavailable",
     "ServiceError",
     "WatchRequest",
-    "backend_seconds",
     "classify_timeout",
     "deadline_exceeded",
     "deadline_unmet",

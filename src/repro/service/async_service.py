@@ -53,7 +53,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.qkbfly import QKBflyConfig, SessionState
 from repro.corpus.world import World
-from repro.service.admission import CostCharge
 from repro.service.api import (
     FactSearchRequest,
     FactSearchResult,
@@ -72,7 +71,7 @@ from repro.service.service import QKBflyService, ServiceConfig
 class AsyncQKBflyService:
     """Event-loop serving facade over a :class:`QKBflyService`.
 
-    All serving tiers (cache, store, executor, autoscaler) are the
+    All serving tiers (cache, store, executor, admission) are the
     wrapped sync service's — the two front ends can serve the same
     deployment concurrently and share every tier, including
     single-flight dedup across the sync/async boundary.
@@ -83,8 +82,8 @@ class AsyncQKBflyService:
             it; wrap an externally managed service with the default).
         own_service: Whether :meth:`aclose` also closes ``service``.
         dispatch_workers: Threads in the pool that runs the blocking
-            calls (``ingest``, ``search_*``, ``watch``, long-polls and
-            autoscale resizes) off the loop. Queries never occupy one:
+            calls (``ingest``, ``search_*``, ``watch`` and long-polls)
+            off the loop. Queries never occupy one:
             a cold query awaits its executor flight directly.
             Defaults to the service's ``max_workers``.
     """
@@ -186,23 +185,19 @@ class AsyncQKBflyService:
 
         The primary asyncio entry point, the exact event-loop
         counterpart of :meth:`QKBflyService.serve`: the same admission
-        control (rate *and* cost budgets checked before any tier is
-        consulted, queue-depth shedding before a new flight is
-        started), the same typed error taxonomy, the same envelope out.
+        control (the rate limit checked before any tier is consulted,
+        queue-depth shedding before a new flight is started), the same
+        typed error taxonomy, the same envelope out.
         The returned :class:`QueryResult`'s KB is the shared immutable
         value the cache holds.
         """
         started = time.perf_counter()
         self._check_loop()
-        charge, key = self.service._admit(request)
-        return await self._serve_admitted(request, key, charge, started)
+        key = self.service._admit(request)
+        return await self._serve_admitted(request, key, started)
 
     async def _serve_admitted(
-        self,
-        request: QueryRequest,
-        key: CacheKey,
-        charge: Optional[CostCharge],
-        started: float,
+        self, request: QueryRequest, key: CacheKey, started: float
     ) -> QueryResult:
         """Drive the sync service's ladder for one admitted request:
         ``_begin`` with the loop-side store probe, await the flight
@@ -210,41 +205,28 @@ class AsyncQKBflyService:
         ``_finish`` — the same two calls the sync drivers make."""
         sync = self.service
         self.answered += 1
-        try:
-            outcome = sync._begin(
-                request, key, started, loop_probe=self._try_store_on_loop
-            )
-            if isinstance(outcome, QueryResult):
-                if outcome.cache_hit:
-                    self.loop_cache_hits += 1
-                result = outcome
-            else:
-                try:
-                    # A cancelled consumer cannot cancel the shared
-                    # flight: executor futures refuse cancel().
-                    await asyncio.wait_for(
-                        asyncio.wrap_future(outcome),
-                        sync._remaining(request, started),
-                    )
-                except Exception:
-                    # Expired or failed — _finish reads the flight
-                    # itself and types either outcome.
-                    pass
-                result = sync._finish(
-                    request, key, started, outcome, on_loop=True
+        outcome = sync._begin(
+            request, key, started, loop_probe=self._try_store_on_loop
+        )
+        if isinstance(outcome, QueryResult):
+            if outcome.cache_hit:
+                self.loop_cache_hits += 1
+            result = outcome
+        else:
+            try:
+                # A cancelled consumer cannot cancel the shared flight:
+                # executor futures refuse cancel().
+                await asyncio.wait_for(
+                    asyncio.wrap_future(outcome),
+                    sync._remaining(request, started),
                 )
-                if sync._sizer is not None and not self._closed:
-                    # The pool resize a cold flight may call for is
-                    # decided and applied off the loop,
-                    # fire-and-forget.
-                    self._dispatch_pool.submit(sync.autoscale_tick)
-        except BaseException:
-            # Measured cost unknown (shed, deadline, pipeline failure):
-            # the estimated reservation stays charged — identical to
-            # the sync facade's settle discipline.
-            sync._settle(charge)
-            raise
-        sync._settle(charge, result)
+            except Exception:
+                # Expired or failed — _finish reads the flight itself
+                # and types either outcome.
+                pass
+            result = sync._finish(
+                request, key, started, outcome, on_loop=True
+            )
         if sync.history is not None:
             # The async tier records on the shared sync recorder, so
             # one attach_history() covers every front end (the HTTP
@@ -271,10 +253,8 @@ class AsyncQKBflyService:
         async def serve_slot(request: QueryRequest) -> QueryResult:
             key = None  # stays None for pre-admission failures
             try:
-                charge, key = sync._admit(request)
-                return await self._serve_admitted(
-                    request, key, charge, started
-                )
+                key = sync._admit(request)
+                return await self._serve_admitted(request, key, started)
             except ServiceError as error:
                 return sync._failure(request, error, key, started)
             except Exception as error:

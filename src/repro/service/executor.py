@@ -35,7 +35,7 @@ class BatchExecutor:
             the moment ``run_fn`` actually starts on a worker. The
             serving layer wires this to its
             :class:`~repro.service.admission.QueueWaitWindow` so
-            Retry-After hints and pool-sizing decisions see live wait
+            Retry-After hints and deadline admission see live wait
             data.
     """
 
@@ -63,27 +63,6 @@ class BatchExecutor:
     def shutdown(self, wait: bool = True) -> None:
         """Stop the worker pool."""
         self._pool.shutdown(wait=wait)
-
-    def resize(self, max_workers: int) -> None:
-        """Swap the thread pool for one with ``max_workers``.
-
-        The single-flight table, counters, and wait hook all survive:
-        only the inner pool is replaced, so in-flight computations
-        complete on the old pool (its already-submitted work keeps
-        running under ``shutdown(wait=False)``) while new submissions
-        land on the new one.
-        """
-        if max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        with self._lock:
-            if max_workers == self.max_workers:
-                return
-            old = self._pool
-            self._pool = ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="qkbfly"
-            )
-            self.max_workers = max_workers
-        old.shutdown(wait=False)
 
     def __enter__(self) -> "BatchExecutor":
         return self
@@ -169,22 +148,14 @@ class BatchExecutor:
                 hook(max(0.0, time.monotonic() - entered))
             return self._run_fn(request)
 
-        while True:
-            pool = self._pool
-            try:
-                inner = pool.submit(work)
-                break
-            except BaseException as error:
-                if self._pool is not pool:
-                    # A concurrent resize() retired the pool between
-                    # the snapshot and the submit; retry on whatever
-                    # pool is current.
-                    continue
-                with self._lock:
-                    if self._in_flight.get(key) is shared:
-                        del self._in_flight[key]
-                shared.set_exception(error)
-                return shared
+        try:
+            inner = self._pool.submit(work)
+        except BaseException as error:
+            with self._lock:
+                if self._in_flight.get(key) is shared:
+                    del self._in_flight[key]
+            shared.set_exception(error)
+            return shared
 
         def _settle(done: Future, key: Hashable = key) -> None:
             # Order matters: unpublish the key first, then complete the

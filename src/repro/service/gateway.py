@@ -41,7 +41,7 @@ Routes (see ``docs/API.md`` for the wire format and curl examples):
 - ``GET /v1/healthz`` — liveness plus the served corpus version.
 - ``GET /v1/stats`` — the merged serving counters
   (:meth:`AsyncQKBflyService.stats`: cache, store, executor,
-  autoscaler, admission) plus this gateway's own request/status
+  admission) plus this gateway's own request/status
   counters.
 
 Connections are keep-alive by default (HTTP/1.1 semantics); request
@@ -114,7 +114,7 @@ class HttpGateway:
 
     Args:
         service: The asyncio front end to serve. All tiers, counters,
-            and admission budgets are shared with every other entry
+            and admission limits are shared with every other entry
             point of that deployment.
         host: Bind address (loopback by default; put a real proxy in
             front for anything else).

@@ -19,10 +19,8 @@ queries that overlap in their retrieved documents reuse the
 retrieval/NLP/extraction products and each document's finished KB
 fragment — see ``docs/PIPELINE.md``.
 
-The pipeline runs inline on the request worker threads; with
-``ServiceConfig.autoscale_policy`` set, a
-:class:`~repro.service.autoscale.PoolSizer` resizes that worker pool
-at runtime from the live queue state. The asyncio front end
+The pipeline runs inline on a fixed pool of ``ServiceConfig.max_workers``
+request worker threads. The asyncio front end
 (:class:`~repro.service.async_service.AsyncQKBflyService`) layers on
 top of this facade and shares all of its tiers.
 
@@ -52,7 +50,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -62,14 +59,7 @@ from repro.corpus.world import World
 from repro.faultinject.history import HistoryRecorder
 from repro.faultinject.points import fault_point
 from repro.kb.facts import KnowledgeBase
-from repro.service.admission import (
-    AdmissionController,
-    CostCharge,
-    QueueWaitWindow,
-    cost_shape,
-    ingest_cost_shape,
-    search_cost_shape,
-)
+from repro.service.admission import AdmissionController, QueueWaitWindow
 from repro.service.api import (
     DeadlineUnmet,
     FactSearchRequest,
@@ -84,12 +74,10 @@ from repro.service.api import (
     SearchUnavailable,
     ServiceError,
     WatchRequest,
-    backend_seconds,
     classify_timeout,
     invalid_request,
     wrap_failure,
 )
-from repro.service.autoscale import AutoscalePolicy, PoolSizer
 from repro.service.cache import CacheKey, QueryCache
 from repro.service.executor import BatchExecutor
 from repro.service.fabric.cluster import Fabric
@@ -121,10 +109,6 @@ class ServiceConfig:
     # 1 keeps the single-file KbStore; N > 1 partitions entries across
     # N SQLite files with per-shard locks (ShardedKbStore).
     store_shards: int = 1
-    # Runtime pool sizing: set to resize the request worker pool from
-    # queue depth and measured waits (None keeps the width at
-    # max_workers).
-    autoscale_policy: Optional[AutoscalePolicy] = None
     # Refill the in-memory cache from the store on service start (up to
     # warm_limit entries, newest first; capped by cache_size).
     warm_cache_on_start: bool = False
@@ -141,22 +125,14 @@ class ServiceConfig:
     # limiting), and the distinct-in-flight executor computations
     # beyond which new cold work is shed with Overloaded/503 (None
     # disables shedding). Enforced identically by the sync, asyncio,
-    # and HTTP front ends.
+    # and HTTP front ends. With either set, queue-wait-aware deadline
+    # admission (docs/API.md) is on too: a request whose remaining
+    # `timeout` cannot survive the measured p95 queue wait gets a fast
+    # 504 at admission instead of a doomed enqueue; joiners and
+    # store-servable keys are never rejected.
     rate_limit_qps: Optional[float] = None
     rate_limit_burst: Optional[float] = None
     max_queue_depth: Optional[int] = None
-    # Per-client *cost* budgeting: pipeline wall-seconds a client may
-    # consume per wall second (None disables), and the instant burst
-    # ceiling in seconds (defaults to max(1.0, cost_budget_per_second)).
-    # Buckets drain by the measured store+pipeline seconds fed back
-    # from each result envelope; admit-time reservations use an EWMA
-    # estimate per query shape. Over budget -> CostLimited/429.
-    cost_budget_per_second: Optional[float] = None
-    cost_budget_burst: Optional[float] = None
-    # Sample capacity of the queue-wait window (executor entry->start
-    # latencies) that feeds Overloaded Retry-After hints and the
-    # autoscaler's pool-sizing decisions.
-    queue_wait_window: int = 256
     # Stage-level pipeline caching (docs/PIPELINE.md): content-
     # addressed reuse of retrieval/NLP/extraction products across
     # overlapping queries. The cache is installed on the shared
@@ -172,13 +148,6 @@ class ServiceConfig:
     # Optional per-stage policy overrides ({"nlp": StagePolicy(...)});
     # stages not named fall back to the three knobs above.
     stage_cache_policies: Optional[Dict[str, StagePolicy]] = None
-    # Queue-wait-aware deadline admission (docs/API.md): reject a
-    # request whose remaining `timeout` cannot survive the measured
-    # p95 queue wait with a fast 504 at admission instead of a doomed
-    # enqueue. Active only when an AdmissionController is configured
-    # (any of the knobs above); joiners and store-servable keys are
-    # never rejected.
-    deadline_admission: bool = True
     # KB-store backend (docs/FABRIC.md). "local" opens the store
     # in-process (KbStore, or ShardedKbStore when store_shards > 1);
     # "fabric" puts every shard behind a socket shard server with
@@ -266,10 +235,6 @@ class ServiceConfig:
             and self.cache_ttl_seconds <= 0
         ):
             raise ValueError("cache_ttl_seconds must be positive when set")
-        if self.queue_wait_window < 1:
-            raise ValueError(
-                f"queue_wait_window must be >= 1, got {self.queue_wait_window}"
-            )
         if self.stage_cache_enabled:
             # One authoritative rule set for the stage-cache bounds:
             # StagePolicy validates its own combination (the service
@@ -289,8 +254,6 @@ class ServiceConfig:
         if (
             self.rate_limit_qps is not None
             or self.rate_limit_burst is not None
-            or self.cost_budget_per_second is not None
-            or self.cost_budget_burst is not None
             or self.max_queue_depth is not None
         ):
             # One authoritative rule set for the admission parameters:
@@ -299,8 +262,6 @@ class ServiceConfig:
             AdmissionController(
                 rate_limit_qps=self.rate_limit_qps,
                 rate_limit_burst=self.rate_limit_burst,
-                cost_budget_per_second=self.cost_budget_per_second,
-                cost_budget_burst=self.cost_budget_burst,
                 max_queue_depth=self.max_queue_depth,
             )
 
@@ -329,10 +290,6 @@ class QKBflyService:
         # dataclass validated itself at construction, but it is
         # mutable and may have been edited since.
         self.service_config.validate()
-        policy = self.service_config.autoscale_policy
-        self._sizer: Optional[PoolSizer] = (
-            PoolSizer(policy) if policy is not None else None
-        )
         self.qkbfly = QKBfly.from_session(session, config=config)
         # Per-entity version vector (docs/INGEST.md): installed on the
         # session so the retrieval stage folds the relevant version
@@ -396,14 +353,7 @@ class QKBflyService:
                 if stored_version:
                     self.store.delete_stale(session.corpus_version)
                 self.store.set_corpus_version(session.corpus_version)
-        # The queue-wait window is owned by the service (not by the
-        # executor) so the wait distribution survives pool resizes.
-        self.queue_wait = QueueWaitWindow(
-            size=self.service_config.queue_wait_window
-        )
-        # Current worker-pool width; with autoscale_policy set, the
-        # sizer moves it at runtime between the policy's floor/ceiling.
-        self.pool_workers = self.service_config.max_workers
+        self.queue_wait = QueueWaitWindow()
         self._executor = BatchExecutor(
             self._serve,
             max_workers=self.service_config.max_workers,
@@ -411,17 +361,12 @@ class QKBflyService:
         )
         if (
             self.service_config.rate_limit_qps is not None
-            or self.service_config.cost_budget_per_second is not None
             or self.service_config.max_queue_depth is not None
         ):
             self.admission: Optional[AdmissionController] = (
                 AdmissionController(
                     rate_limit_qps=self.service_config.rate_limit_qps,
                     rate_limit_burst=self.service_config.rate_limit_burst,
-                    cost_budget_per_second=(
-                        self.service_config.cost_budget_per_second
-                    ),
-                    cost_budget_burst=self.service_config.cost_budget_burst,
                     max_queue_depth=self.service_config.max_queue_depth,
                     queue_wait=self.queue_wait,
                 )
@@ -429,8 +374,6 @@ class QKBflyService:
         else:
             self.admission = None
         self._counter_lock = threading.Lock()
-        self._autoscale_lock = threading.Lock()
-        self._closed = False
         # Optional history recorder (fault-injection harness): when
         # attached, every OK envelope leaving a front end and every
         # corpus refresh is logged for offline freshness checking.
@@ -441,7 +384,6 @@ class QKBflyService:
         self.ingest_pipeline = IngestPipeline(self)
         self._config_digest = self.qkbfly.config_digest
         self.pipeline_runs = 0
-        self.pool_resizes = 0
         if self.service_config.compact_store_on_start:
             self.compact_store()
         if self.service_config.warm_cache_on_start:
@@ -546,14 +488,11 @@ class QKBflyService:
 
         Raises the typed taxonomy of :mod:`repro.service.api`:
         :class:`~repro.service.api.RateLimited` when the client is over
-        its token-bucket budget, :class:`~repro.service.api.CostLimited`
-        when its cost budget cannot cover the request's estimated
-        pipeline seconds, :class:`~repro.service.api.Overloaded` when
-        new cold work would exceed ``max_queue_depth``,
+        its token-bucket budget, :class:`~repro.service.api.Overloaded`
+        when new cold work would exceed ``max_queue_depth``,
         :class:`~repro.service.api.DeadlineUnmet` when the request's
         remaining ``timeout`` cannot survive the measured p95 queue
-        wait (a fast 504 at admission; see
-        ``ServiceConfig.deadline_admission``),
+        wait (a fast 504 at admission),
         :class:`~repro.service.api.PipelineFailure` (original exception
         chained as ``__cause__``) when the pipeline raises, and a
         ``timeout``-coded :class:`~repro.service.api.ServiceError` when
@@ -561,18 +500,10 @@ class QKBflyService:
         keeps running and will still fill the cache).
         """
         started = time.perf_counter()
-        charge, key = self._admit(request)
-        try:
-            result = self._finish(
-                request, key, started, self._begin(request, key, started)
-            )
-        except BaseException:
-            # The measured cost is unknown (a shed, a timeout with the
-            # work still running, a pipeline failure): the estimated
-            # reservation stays charged.
-            self._settle(charge)
-            raise
-        self._settle(charge, result)
+        key = self._admit(request)
+        result = self._finish(
+            request, key, started, self._begin(request, key, started)
+        )
         if self.history is not None:
             self.history.record_serve(result, front_end="sync")
         return result
@@ -596,9 +527,9 @@ class QKBflyService:
         started = time.perf_counter()
         slots = []
         for request in requests:
-            charge = key = None  # stay None for pre-admission failures
+            key = None  # stays None for pre-admission failures
             try:
-                charge, key = self._admit(request)
+                key = self._admit(request)
                 outcome = self._begin(request, key, started)
             except ServiceError as error:
                 outcome = self._failure(request, error, key, started)
@@ -611,14 +542,13 @@ class QKBflyService:
                     key,
                     started,
                 )
-            slots.append((request, key, charge, outcome))
+            slots.append((request, key, outcome))
         results: List[QueryResult] = []
-        for request, key, charge, outcome in slots:
+        for request, key, outcome in slots:
             try:
                 result = self._finish(request, key, started, outcome)
             except ServiceError as error:
                 result = self._failure(request, error, key, started)
-            self._settle(charge, result)
             if self.history is not None and result.status is QueryStatus.OK:
                 self.history.record_serve(result, front_end="sync_batch")
             results.append(result)
@@ -626,38 +556,13 @@ class QKBflyService:
 
     # ---- the serve ladder: begin -> (driver's wait) -> finish --------------
 
-    def _admit(
-        self, request: QueryRequest
-    ) -> Tuple[Optional[CostCharge], CacheKey]:
-        """Validate and admit ``request`` (rate and cost budgets), then
-        derive its key; the charge is None with cost budgeting off.
-        Raises before any reservation exists, so a caller that gets a
-        charge back owes exactly one :meth:`_settle`."""
+    def _admit(self, request: QueryRequest) -> CacheKey:
+        """Validate and admit ``request`` (its client's rate bucket),
+        then derive its key."""
         self._validate_request(request)
-        charge = None
         if self.admission is not None:
-            charge = self.admission.admit(
-                request.client_id, self._cost_shape(request)
-            )
-        return charge, self._key(
-            request.query, request.source, request.num_documents
-        )
-
-    def _settle(
-        self,
-        charge: Optional[CostCharge],
-        result: Optional[QueryResult] = None,
-    ) -> None:
-        """Reconcile a reservation against the measured cost: an OK
-        result refunds down to its observed store+pipeline seconds;
-        anything else (an error envelope, or None for a raised error)
-        keeps the estimate charged — the true cost is unknown or still
-        accruing."""
-        if charge is not None:
-            measured = result is not None and result.status is QueryStatus.OK
-            self.admission.settle(
-                charge, actual=backend_seconds(result) if measured else None
-            )
+            self.admission.admit(request.client_id)
+        return self._key(request.query, request.source, request.num_documents)
 
     def _begin(
         self,
@@ -761,12 +666,7 @@ class QKBflyService:
             raise
         except Exception as error:
             raise wrap_failure(request, error) from error
-        result = self._result_copy(shared, request, started)
-        # An event loop never resizes the pool inline; its driver applies
-        # pending autoscale decisions off the loop afterwards.
-        if not on_loop:
-            self.autoscale_tick()
-        return result
+        return self._result_copy(shared, request, started)
 
     @staticmethod
     def _remaining(request: QueryRequest, started: float) -> Optional[float]:
@@ -895,7 +795,7 @@ class QKBflyService:
         (they add no queue load and may be answered early by the
         shared flight); requests without a timeout never reject.
         """
-        if self.admission is None or not self.service_config.deadline_admission:
+        if self.admission is None:
             return
         self.admission.check_deadline(
             self._remaining(request, started),
@@ -1129,46 +1029,6 @@ class QKBflyService:
             query, source=source, num_documents=num_documents
         )
 
-    # ---- pool sizing -------------------------------------------------------
-
-    def autoscale_tick(self) -> None:
-        """Ask the sizer for a pool-size decision and apply it.
-
-        A no-op without ``ServiceConfig.autoscale_policy``. The
-        decision is fed the live queue state: the request executor's
-        ``pending`` flights plus the measured queue-wait window; the
-        outcome is observable via :attr:`pool_workers` / ``stats()``.
-        Sync serving calls this after each cold request; the asyncio
-        front end calls it from its dispatch threads so a resize never
-        runs on the event loop; it is equally safe to call from a
-        maintenance cron.
-        """
-        if self._sizer is None:
-            return
-        size = self._sizer.decide_pool_size(
-            self.pool_workers,
-            pending=self._executor.pending,
-            queue_wait=self.queue_wait,
-        )
-        if size is not None:
-            self._resize_pools(size)
-
-    def _resize_pools(self, workers: int) -> None:
-        """Resize the request worker pool to ``workers`` at runtime.
-
-        The executor is resized in place: its single-flight table,
-        counters, and queue-wait hook survive — only the inner thread
-        pool is replaced, and requests in flight on the old pool
-        complete on it while new requests already land on the new one.
-        """
-        with self._autoscale_lock:
-            if self._closed or workers == self.pool_workers:
-                return  # closed, or another thread won the same decision
-            fault_point("service.resize_pools")
-            self.pool_workers = workers
-            self._executor.resize(workers)
-            self.pool_resizes += 1
-
     # ---- request identity --------------------------------------------------
 
     def request_key(
@@ -1184,21 +1044,6 @@ class QKBflyService:
         :class:`ServiceConfig` defaults exactly like :meth:`build_kb`.
         """
         return self._key(query, source, num_documents)
-
-    def _cost_shape(self, request: QueryRequest):
-        """The query-shape key cost estimation buckets ``request`` on
-        (source and document count resolved against the config
-        defaults, exactly like :meth:`_key` resolves them — see
-        :func:`repro.service.admission.cost_shape` for why the query
-        string is excluded)."""
-        return cost_shape(
-            request.source
-            if request.source is not None
-            else self.service_config.source,
-            request.num_documents
-            if request.num_documents is not None
-            else self.service_config.num_documents,
-        )
 
     def _key(
         self,
@@ -1228,9 +1073,8 @@ class QKBflyService:
         Read-only: never touches the cache, the executor, or the
         pipeline — pages come straight from the store's FTS5 index
         (fanned out and merge-sorted across shards; see
-        ``docs/SEARCH.md``). Admission control applies exactly like
-        :meth:`serve`, with searches as their own cost-estimator shape
-        class (:func:`repro.service.admission.search_cost_shape`).
+        ``docs/SEARCH.md``). The client's rate limit applies exactly
+        like :meth:`serve`.
         Raises :class:`~repro.service.api.SearchUnavailable` (503) when
         this deployment has no store or its SQLite build lacks FTS5,
         and an ``invalid_request`` (400) on a bad sort/cursor.
@@ -1250,52 +1094,40 @@ class QKBflyService:
         self, kind: str, request: FactSearchRequest
     ) -> FactSearchResult:
         started = time.perf_counter()
-        charge: Optional[CostCharge] = None
         if self.admission is not None:
-            charge = self.admission.admit(
-                request.client_id, search_cost_shape(kind)
+            self.admission.admit(request.client_id)
+        if self.store is None:
+            raise SearchUnavailable(
+                "this deployment has no KB store to search "
+                "(store_path is not configured)"
             )
         try:
-            if self.store is None:
-                raise SearchUnavailable(
-                    "this deployment has no KB store to search "
-                    "(store_path is not configured)"
-                )
-            try:
-                page = search_paginated(
-                    store_backends(self.store),
-                    kind,
-                    q=request.q,
-                    entity=request.entity,
-                    pattern=request.pattern,
-                    corpus_version=request.corpus_version,
-                    created_after=request.created_after,
-                    created_before=request.created_before,
-                    sort=request.sort,
-                    limit=request.limit,
-                    cursor=request.cursor,
-                )
-            except ServiceError:
-                raise
-            except ValueError as error:
-                raise invalid_request(str(error)) from error
-            result = FactSearchResult(
-                kind=kind,
-                results=page["results"],
-                next_cursor=page["next_cursor"],
-                has_more=page["has_more"],
-                seconds=time.perf_counter() - started,
-                client_id=request.client_id,
-                api_version=request.api_version,
+            page = search_paginated(
+                store_backends(self.store),
+                kind,
+                q=request.q,
+                entity=request.entity,
+                pattern=request.pattern,
+                corpus_version=request.corpus_version,
+                created_after=request.created_after,
+                created_before=request.created_before,
+                sort=request.sort,
+                limit=request.limit,
+                cursor=request.cursor,
             )
-        except BaseException:
-            # Measured cost unknown — the estimate stays charged.
-            if charge is not None:
-                self.admission.settle(charge)
+        except ServiceError:
             raise
-        if charge is not None:
-            self.admission.settle(charge, actual=result.seconds)
-        return result
+        except ValueError as error:
+            raise invalid_request(str(error)) from error
+        return FactSearchResult(
+            kind=kind,
+            results=page["results"],
+            next_cursor=page["next_cursor"],
+            has_more=page["has_more"],
+            seconds=time.perf_counter() - started,
+            client_id=request.client_id,
+            api_version=request.api_version,
+        )
 
     # ---- live ingest / subscriptions ---------------------------------------
 
@@ -1311,50 +1143,35 @@ class QKBflyService:
         crash-safety protocol around the ``ingest.commit`` /
         ``ingest.invalidate`` fault points.
 
-        Admission control applies like :meth:`serve`, with ingests as
-        their own cost-estimator shape class
-        (:func:`repro.service.admission.ingest_cost_shape`) so a bulk
-        feed cannot starve query traffic. Raises ``invalid_request``
+        The client's rate limit applies like :meth:`serve`. Raises
+        ``invalid_request``
         (400) on a bad source and the admission taxonomy otherwise;
         returns the acknowledgment envelope once the ingest is durable
         and subscribers have been notified.
         """
         started = time.perf_counter()
-        charge: Optional[CostCharge] = None
         if self.admission is not None:
-            charge = self.admission.admit(
-                request.client_id, ingest_cost_shape(request.source)
-            )
+            self.admission.admit(request.client_id)
         try:
-            try:
-                outcome = self.ingest_pipeline.ingest(request)
-            except ServiceError:
-                raise
-            except ValueError as error:
-                raise invalid_request(str(error)) from error
-            result = IngestResult(
-                doc_id=outcome["doc_id"],
-                source=outcome["source"],
-                corpus_version=outcome["corpus_version"],
-                updated=outcome["updated"],
-                touched_entities=list(outcome["touched_entities"]),
-                entity_versions=dict(outcome["entity_versions"]),
-                invalidated=dict(outcome["invalidated"]),
-                subscribers=outcome["subscribers"],
-                deliveries=dict(outcome["deliveries"]),
-                seconds=time.perf_counter() - started,
-                client_id=request.client_id,
-                api_version=request.api_version,
-            )
-        except BaseException:
-            # Measured cost unknown (including a SimulatedCrash from a
-            # fault schedule) — the estimated reservation stays charged.
-            if charge is not None:
-                self.admission.settle(charge)
+            outcome = self.ingest_pipeline.ingest(request)
+        except ServiceError:
             raise
-        if charge is not None:
-            self.admission.settle(charge, actual=result.seconds)
-        return result
+        except ValueError as error:
+            raise invalid_request(str(error)) from error
+        return IngestResult(
+            doc_id=outcome["doc_id"],
+            source=outcome["source"],
+            corpus_version=outcome["corpus_version"],
+            updated=outcome["updated"],
+            touched_entities=list(outcome["touched_entities"]),
+            entity_versions=dict(outcome["entity_versions"]),
+            invalidated=dict(outcome["invalidated"]),
+            subscribers=outcome["subscribers"],
+            deliveries=dict(outcome["deliveries"]),
+            seconds=time.perf_counter() - started,
+            client_id=request.client_id,
+            api_version=request.api_version,
+        )
 
     def watch(self, request: WatchRequest) -> Dict[str, Any]:
         """Register a ``watch(entities)`` subscription
@@ -1582,7 +1399,7 @@ class QKBflyService:
         out: Dict[str, Any] = {
             "corpus_version": self.session.corpus_version,
             "pipeline_runs": self.pipeline_runs,
-            "pool_workers": self.pool_workers,
+            "pool_workers": self._executor.max_workers,
             "cache": self.cache.stats(),
             "executor": {
                 "submitted": self._executor.submitted,
@@ -1592,11 +1409,6 @@ class QKBflyService:
             },
             "queue_wait": self.queue_wait.stats(),
         }
-        if self._sizer is not None:
-            autoscale = self._sizer.stats()
-            autoscale["pool_workers"] = self.pool_workers
-            autoscale["pool_resizes"] = self.pool_resizes
-            out["autoscale"] = autoscale
         if self.store is not None:
             out["store"] = self.store.stats()
         if self.fabric is not None:
@@ -1613,14 +1425,7 @@ class QKBflyService:
         return out
 
     def close(self) -> None:
-        """Shut down the executor and close the store.
-
-        Marks the service closed under the autoscale lock *before* the
-        pool is shut down, so a live resize racing the shutdown cannot
-        publish a fresh pool after it (leaked worker threads).
-        """
-        with self._autoscale_lock:
-            self._closed = True
+        """Shut down the executor and close the store."""
         # Wake blocked long-pollers before the pool drains: a poller
         # parked on the registry condition would otherwise wait out its
         # full timeout during shutdown.

@@ -15,7 +15,11 @@ import threading
 
 import pytest
 
-from repro.service.admission import AdmissionController, TokenBucket
+from repro.service.admission import (
+    AdmissionController,
+    QueueWaitWindow,
+    TokenBucket,
+)
 from repro.service.api import Overloaded, QueryRequest, RateLimited
 from repro.service.async_service import AsyncQKBflyService
 from repro.service.service import QKBflyService, ServiceConfig
@@ -699,21 +703,6 @@ def test_sync_deadline_rejects_doomed_requests_fast(service_session):
         assert ok.status.value == "ok"
 
 
-def test_deadline_admission_can_be_disabled(service_session):
-    config = ServiceConfig(
-        max_queue_depth=8, max_workers=2, deadline_admission=False
-    )
-    with QKBflyService(service_session, service_config=config) as service:
-        name = _top_queries(service_session, 1)[0]
-        for _ in range(20):
-            service.queue_wait.record(5.0)
-        # The window predicts doom, but the flag is off and the queue
-        # is actually idle: the request completes within its timeout.
-        result = service.serve(QueryRequest(query=name, timeout=30.0))
-        assert result.status.value == "ok"
-        assert service.stats()["admission"]["deadline_rejected"] == 0
-
-
 def test_deadline_rejection_is_rescued_by_the_store(
     service_session, tmp_path
 ):
@@ -833,3 +822,84 @@ def test_async_deadline_rejection_and_batch_envelope(service_session):
     assert doomed.error.code == "deadline_unmet"
     assert doomed.request_key != ""  # post-admission: key correlated
     assert admission["deadline_rejected"] == 2
+
+
+# ---- queue-wait window -----------------------------------------------------
+
+
+def test_empty_window_falls_back_to_policy_hint():
+    """Cold start: nothing measured yet, so the configured fixed hint
+    is the only honest Retry-After."""
+    window = QueueWaitWindow(size=8)
+    assert window.p50() is None
+    assert window.p95() is None
+    assert window.suggest_retry_after(default=1.25) == 1.25
+    stats = window.stats()
+    assert stats["samples"] == 0
+    assert stats["p50_ms"] is None
+
+
+def test_window_derives_clamped_p95_hint():
+    window = QueueWaitWindow(size=16, min_retry_after=0.05, max_retry_after=5.0)
+    for wait in (0.1, 0.2, 0.3, 0.4):
+        window.record(wait)
+    hint = window.suggest_retry_after(default=99.0)
+    assert hint == pytest.approx(0.4)  # p95 of the samples, not the default
+    window.record(1000.0)  # one pathological wait
+    assert window.suggest_retry_after(default=99.0) == 5.0  # ceiling
+    tiny = QueueWaitWindow(size=4, min_retry_after=0.05)
+    tiny.record(0.0001)
+    assert tiny.suggest_retry_after(default=9.0) == 0.05  # floor
+
+
+def test_monotonic_clock_regression_clamps_to_zero():
+    """A regressing time source (suspended VM, injected test clock)
+    corrupts one sample at worst, never the distribution."""
+    window = QueueWaitWindow(size=4)
+    window.record(-0.5)
+    window.record(0.2)
+    assert window.p95() == pytest.approx(0.2)
+    assert window.p50() in (0.0, 0.2)
+    assert min(window._waits) == 0.0
+
+
+def test_window_is_bounded_and_slides():
+    window = QueueWaitWindow(size=3)
+    for wait in (1.0, 2.0, 3.0, 4.0):
+        window.record(wait)
+    assert len(window) == 3
+    assert window.recorded == 4
+    assert window.p50() == 3.0  # 1.0 slid out
+
+
+def test_overloaded_retry_after_uses_measured_waits():
+    window = QueueWaitWindow(size=8)
+    controller = AdmissionController(
+        max_queue_depth=1, overload_retry_after=1.0, queue_wait=window
+    )
+    from repro.service.api import Overloaded
+
+    # Cold window: the fixed policy hint.
+    with pytest.raises(Overloaded) as excinfo:
+        controller.check_queue(1)
+    assert excinfo.value.retry_after == 1.0
+    # Measured waits take over.
+    for _ in range(8):
+        window.record(0.8)
+    with pytest.raises(Overloaded) as excinfo:
+        controller.check_queue(1)
+    assert excinfo.value.retry_after == pytest.approx(0.8)
+
+
+def test_executor_measures_queue_waits(service_session):
+    config = ServiceConfig(max_workers=2)
+    with QKBflyService(service_session, service_config=config) as service:
+        names = _top_queries(service_session, 3)
+        for query in names:
+            service.serve(QueryRequest(query=query))
+        stats = service.stats()["queue_wait"]
+        assert stats["samples"] == 3  # one per distinct cold miss
+        assert stats["p95_ms"] is not None and stats["p95_ms"] >= 0.0
+        # Cache hits never touch the executor: no new samples.
+        service.serve(QueryRequest(query=names[0]))
+        assert service.stats()["queue_wait"]["samples"] == 3

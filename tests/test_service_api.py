@@ -208,6 +208,24 @@ def test_error_taxonomy_statuses_and_codes():
     assert rebuilt.retry_after == 2.5
 
 
+def test_retired_cost_limited_code_still_decodes():
+    """An error envelope carrying the retired ``cost_limited`` code (an
+    older server's per-client cost budget) decodes as a plain
+    ServiceError that keeps the code, the 429 and the retry hint."""
+    rebuilt = ServiceError.from_dict(
+        {
+            "code": "cost_limited",
+            "message": "over budget",
+            "http_status": 429,
+            "retry_after": 2.5,
+        }
+    )
+    assert type(rebuilt) is ServiceError
+    assert rebuilt.code == "cost_limited"
+    assert rebuilt.http_status == 429
+    assert rebuilt.retry_after == 2.5
+
+
 # ---- envelope fields through the serving tiers -----------------------------
 
 
@@ -728,10 +746,10 @@ def test_batch_slot_deadline_admission_counts_from_batch_entry(
             service.queue_wait.record(0.05)
         admit = service.admission.admit
 
-        def slow_admit(client_id, shape=None):
+        def slow_admit(client_id):
             if client_id == "slow":
                 time.sleep(0.3)
-            return admit(client_id, shape)
+            return admit(client_id)
 
         service.admission.admit = slow_admit
         first, second = service.serve_batch(

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.qkbfly import QKBfly
 from repro.kb.facts import KnowledgeBase
-from repro.service.api import QueryRequest
+from repro.service.api import PipelineFailure, QueryRequest
 from repro.service.cache import QueryCache
 from repro.service.executor import BatchExecutor
 from repro.service.kb_store import KbStore
@@ -323,3 +323,32 @@ def test_concurrent_queries_share_session_safely(service_session):
         results = service.serve_batch(_requests(queries * 2))
     for query, result in zip(queries * 2, results):
         assert result.kb.to_dict() == expected[query]
+
+
+# ---- the fixed request pool ------------------------------------------------
+
+
+def test_pool_width_is_fixed_at_max_workers(service_session):
+    config = ServiceConfig(max_workers=2)
+    with QKBflyService(service_session, service_config=config) as service:
+        service.serve(QueryRequest(query=_query_names(service_session, 1)[0]))
+        stats = service.stats()
+        assert "autoscale" not in stats
+        assert stats["pool_workers"] == 2
+        assert stats["executor"]["max_workers"] == 2
+
+
+def test_genuine_pipeline_error_is_not_swallowed(service_session, monkeypatch):
+    """A RuntimeError from the pipeline surfaces as a typed
+    PipelineFailure carrying the original error as its cause."""
+    config = ServiceConfig(max_workers=2)
+    with QKBflyService(service_session, service_config=config) as service:
+        name = _query_names(service_session, 1)[0]
+
+        def broken_build_kb(query, source, num_documents):
+            raise RuntimeError("cannot schedule: pool shutdown")
+
+        monkeypatch.setattr(service.qkbfly, "build_kb", broken_build_kb)
+        with pytest.raises(PipelineFailure, match="pool shutdown") as excinfo:
+            service.serve(QueryRequest(query=name))
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
