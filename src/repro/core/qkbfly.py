@@ -451,10 +451,12 @@ class QKBfly:
         documents = self.search_engine.search(
             query, source=source, k=num_documents
         )
+        doc_ids = [document.doc_id for document in documents]
         cache.put(
             "retrieval",
             signature,
-            [document.doc_id for document in documents],
+            doc_ids,
+            size_bytes=_ranking_size(doc_ids),
             tag=normalized,
         )
         return documents
@@ -507,7 +509,9 @@ class QKBfly:
             annotated = self.nlp.annotate_text(
                 document.text, doc_id=document.doc_id
             )
-            cache.put("nlp", signature, annotated)
+            cache.put(
+                "nlp", signature, annotated, size_bytes=_annotation_size(annotated)
+            )
         return annotated, signature
 
     def _extraction_stage(
@@ -534,7 +538,9 @@ class QKBfly:
                 self.builder.clausie.extract(sentence)
                 for sentence in annotated.sentences
             ]
-            cache.put("extract", signature, clauses)
+            cache.put(
+                "extract", signature, clauses, size_bytes=_clauses_size(clauses)
+            )
         return clauses, signature
 
     def document_fragment(self, document: RealizedDocument) -> KnowledgeBase:
@@ -736,14 +742,48 @@ class QKBfly:
         )
 
 
-def _fragment_size(fragment: KnowledgeBase) -> int:
-    """Stage-cache weight of one fragment, from its counts.
+# Stage-cache weights. Pickling a stage product to weigh it (the stage
+# cache's default) costs more than most of the work it caches, and the
+# products are near-uniform rows, so their counts are as honest. Each
+# set of constants is a least-squares fit of the pickled size over the
+# reference world (``World(WorldConfig(), seed=7)``: the products of its
+# 240 documents, or its 400 name x channel rankings), each constant
+# rounded up; the largest error of a fit is given with it.
 
-    Pickling the fragment to weigh it (the stage cache's default) costs
-    more than merging it; rows are near-uniform, so counts are as
-    honest. The constants are a least-squares fit of the pickled size
-    over the 240 fragments of the reference world, each rounded up.
-    """
+
+def _ranking_size(doc_ids: Sequence[str]) -> int:
+    """Weight of one retrieval entry, a ranked doc-id list (at most
+    40 % over on these few-dozen-byte entries, 9 % on average)."""
+    return 7 + sum(9 + len(doc_id) for doc_id in doc_ids)
+
+
+def _annotation_size(document: Document) -> int:
+    """Weight of one annotated document (max 5 % off)."""
+    tokens = spans = 0
+    for sentence in document.sentences:
+        tokens += len(sentence.tokens)
+        spans += (
+            len(sentence.noun_phrases)
+            + len(sentence.entity_mentions)
+            + len(sentence.time_mentions)
+        )
+    return 350 + 57 * tokens + 26 * spans
+
+
+def _clauses_size(clauses: List[List[Clause]]) -> int:
+    """Weight of one document's clause lists: the constituents plus the
+    sentences the clauses carry along (max 7 % off)."""
+    constituents = tokens = 0
+    for sentence_clauses in clauses:
+        if sentence_clauses:
+            tokens += len(sentence_clauses[0].sentence.tokens)
+        for clause in sentence_clauses:
+            constituents += len(clause.arguments())
+    return 450 + 113 * constituents + 59 * tokens
+
+
+def _fragment_size(fragment: KnowledgeBase) -> int:
+    """Weight of one fragment, the KB of one document."""
     mentions = sum(len(m) for m in fragment.entity_mentions.values())
     return (
         384

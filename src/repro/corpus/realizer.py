@@ -29,7 +29,7 @@ _VOWELS = "aeiou"
 
 #: Instance attribute under which
 #: :func:`repro.corpus.statistics.document_tokens` keeps its memo on a
-#: :class:`RealizedDocument`; not a field, and dropped from pickles.
+#: :class:`RealizedDocument`; not a field.
 TOKENS_MEMO = "_tokens_memo"
 
 
@@ -94,13 +94,6 @@ class RealizedDocument:
     def anchors(self) -> List[MentionRecord]:
         """Named (non-pronoun) mentions, the Wikipedia-link analogue."""
         return [m for m in self.mentions if not m.is_pronoun]
-
-    def __getstate__(self) -> Dict:
-        # Derived and re-derivable: the stage cache weighs values by
-        # pickle size, which should count the document, not its memo.
-        state = self.__dict__.copy()
-        state.pop(TOKENS_MEMO, None)
-        return state
 
 
 class Realizer:

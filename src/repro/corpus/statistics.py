@@ -48,8 +48,8 @@ def document_tokens(doc: RealizedDocument, part: str = "text") -> List[str]:
     The statistics pass and every search-engine build (one per live
     ingest) read the same documents. The memo rides on the document
     and is checked against the current string — ``RealizedDocument`` is
-    mutable and an in-place edit must be noticed — and is left out of
-    the document's pickle. The list is shared: do not mutate it.
+    mutable and an in-place edit must be noticed. The list is shared:
+    do not mutate it.
     """
     value = getattr(doc, part)
     memo = doc.__dict__.setdefault(TOKENS_MEMO, {})

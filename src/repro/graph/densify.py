@@ -69,7 +69,6 @@ class DensestSubgraph:
     def run(self, graph: SemanticGraph, weights: EdgeWeights) -> DensifyResult:
         """Densify ``graph`` in place and return the assignments."""
         state = _State(graph, weights)
-        state.prune_gender_incompatible_links()
 
         removals = 0
         for _ in range(self._max_rounds):
@@ -104,7 +103,12 @@ _MOVE_SAME_AS = "sameAs"
 
 
 class _State:
-    """Mutable candidate-set state with incremental edge weights."""
+    """Mutable candidate-set state with incremental edge weights.
+
+    Construction applies constraint (4) — the gender pruning — before
+    the relation-edge weights are computed, so the initial weights are
+    computed once, over the pruned links.
+    """
 
     def __init__(self, graph: SemanticGraph, weights: EdgeWeights) -> None:
         self.graph = graph
@@ -121,6 +125,7 @@ class _State:
         for index, edge in enumerate(graph.relation_edges):
             self._edges_by_phrase.setdefault(edge.source, []).append(index)
             self._edges_by_phrase.setdefault(edge.target, []).append(index)
+        self._prune_gender_incompatible_links()
         self._edge_weights: List[float] = [
             self._compute_edge_weight(edge) for edge in graph.relation_edges
         ]
@@ -171,8 +176,13 @@ class _State:
             self.pronoun_links[pronoun_id] = links
             self.pronoun_exclusions[pronoun_id] = set()
 
-    def prune_gender_incompatible_links(self) -> None:
-        """Constraint (4): drop candidates/links violating pronoun gender."""
+    def _prune_gender_incompatible_links(self) -> None:
+        """Constraint (4): drop candidates/links violating pronoun gender.
+
+        Links and group members are visited in sorted order: an early
+        stop over a set's iteration order would make the work (not the
+        result) depend on the hash seed.
+        """
         for pronoun_id, links in self.pronoun_links.items():
             gender = self.graph.phrases[pronoun_id].gender
             if not gender:
@@ -188,11 +198,11 @@ class _State:
             # emerging entity of unknown gender, and constraint (4) only
             # applies "for which the background KB provides gender".
             to_drop = []
-            for np_id in links:
+            for np_id in sorted(links):
                 group = self.group_of[np_id]
                 cands = self.group_cands[group]
                 named = [
-                    m for m in group
+                    m for m in sorted(group)
                     if self.graph.phrases[m].ner not in ("O", "TIME", "MONEY")
                 ]
                 surely_linked = bool(named) and all(
@@ -201,14 +211,11 @@ class _State:
                 if (
                     surely_linked
                     and cands
-                    and all(
-                        c in self.pronoun_exclusions[pronoun_id] for c in cands
-                    )
+                    and cands <= self.pronoun_exclusions[pronoun_id]
                 ):
                     to_drop.append(np_id)
             for np_id in to_drop:
                 links.discard(np_id)
-        self._refresh_all_edges()
 
     # ---- candidate views --------------------------------------------------------
 
@@ -312,15 +319,15 @@ class _State:
                 cost += self.weights.means_weight(member, entity_id)
         # Relation edges touching the group or linked pronouns.
         touched = self._touched_by_group(group)
-        saved = {g: set(c) for g, c in self.group_cands.items()}
-        self.group_cands[group] = self.group_cands[group] - {entity_id}
+        saved = self.group_cands[group]
+        self.group_cands[group] = saved - {entity_id}
         for phrase_id in sorted(touched):
             for index in self._edges_by_phrase.get(phrase_id, ()):
                 new_weight = self._compute_edge_weight(
                     self.graph.relation_edges[index]
                 )
                 cost += self._edge_weights[index] - new_weight
-        self.group_cands = saved
+        self.group_cands[group] = saved
         return cost
 
     def _link_removal_cost(self, pronoun_id: str, np_id: str) -> float:

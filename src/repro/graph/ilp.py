@@ -41,7 +41,6 @@ class IlpStage2:
     def run(self, graph: SemanticGraph, weights: EdgeWeights) -> DensifyResult:
         """Solve Stage 2 and return assignments compatible with greedy."""
         state = _State(graph, weights)
-        state.prune_gender_incompatible_links()
 
         index: Dict[Tuple, int] = {}
         objective: List[float] = []

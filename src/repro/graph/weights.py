@@ -53,9 +53,10 @@ class WeightParameters:
 class EdgeWeights:
     """Weight oracle for one document graph.
 
-    Precomputes mention context vectors and memoizes entity-pair
-    coherence and type-signature sums, so the densification loop's
-    incremental recomputation stays cheap.
+    Precomputes mention context vectors and memoizes means weights,
+    entity-pair coherence, type-signature sums and the pair weights
+    built from them, so the densification loop's incremental
+    recomputation stays cheap.
     """
 
     def __init__(
@@ -76,6 +77,7 @@ class EdgeWeights:
         self._means_cache: Dict[Tuple[str, str], float] = {}
         self._coh_cache: Dict[Tuple[str, str], float] = {}
         self._ts_cache: Dict[Tuple[str, str, str], float] = {}
+        self._pair_cache: Dict[Tuple[str, str, str], float] = {}
 
     # ---- means edges -----------------------------------------------------
 
@@ -134,11 +136,21 @@ class EdgeWeights:
         return total
 
     def pair_weight(self, entity_a: str, entity_b: str, pattern: str) -> float:
-        """Contribution of one candidate pair to a relation edge weight."""
-        return (
-            self.params.alpha3 * self.coherence(entity_a, entity_b)
-            + self.params.alpha4 * self.type_signature_sum(entity_a, entity_b, pattern)
-        )
+        """Contribution of one candidate pair to a relation edge weight.
+
+        Memoised per ``(entity_a, entity_b, pattern)``: densification
+        re-weighs the same edges after every removal it tries, so each
+        pair is computed once per document.
+        """
+        key = (entity_a, entity_b, pattern)
+        cached = self._pair_cache.get(key)
+        if cached is None:
+            cached = self._pair_cache[key] = (
+                self.params.alpha3 * self.coherence(entity_a, entity_b)
+                + self.params.alpha4
+                * self.type_signature_sum(entity_a, entity_b, pattern)
+            )
+        return cached
 
     def relation_weight(
         self,
@@ -146,12 +158,18 @@ class EdgeWeights:
         source_candidates: Iterable[str],
         target_candidates: Iterable[str],
     ) -> float:
-        """w(ni, nt, S) for given current candidate sets."""
+        """w(ni, nt, S) for given current candidate sets.
+
+        Sums in sorted candidate order, so the float total does not
+        depend on a set's (hash-seeded) iteration order.
+        """
         total = 0.0
-        targets = list(target_candidates)
-        for entity_a in source_candidates:
+        pattern = edge.pattern
+        pair_weight = self.pair_weight
+        targets = sorted(target_candidates)
+        for entity_a in sorted(source_candidates):
             for entity_b in targets:
-                total += self.pair_weight(entity_a, entity_b, edge.pattern)
+                total += pair_weight(entity_a, entity_b, pattern)
         return total
 
 

@@ -13,7 +13,7 @@ speed). This package reimplements each of those components from scratch:
 - :mod:`repro.nlp.ner` — gazetteer + shape-feature named-entity tagger.
 - :mod:`repro.nlp.time_tagger` — SUTime-style recognition/normalization.
 - :mod:`repro.nlp.dependency` — two projective dependency parsers: a
-  greedy O(n) arc-standard parser (the MaltParser stand-in) and an exact
+  greedy easy-first parser (the MaltParser stand-in) and an exact
   O(n^3) Eisner chart parser (the Stanford-parser stand-in).
 - :mod:`repro.nlp.pipeline` — orchestration of all of the above.
 """

@@ -1,10 +1,12 @@
 """Projective dependency parsing.
 
-Two parsers share one rule-based arc scorer:
+Two parsers share one rule-based arc scorer, :class:`ArcScorer`, built
+once per sentence:
 
-- :class:`GreedyTransitionParser` — an arc-standard shift-reduce parser
-  with a bounded-lookahead decision rule. Linear time; this is the
-  MaltParser stand-in that QKBfly uses for speed.
+- :class:`GreedyTransitionParser` — an easy-first parser with a
+  bounded-lookahead decision rule: O(n * window) arc scores and O(n^2)
+  comparisons per sentence; this is the MaltParser stand-in that QKBfly
+  uses for speed.
 - :class:`EisnerChartParser` — the classic O(n^3) dynamic program that
   finds the *exact* maximum-scoring projective tree. This is the
   Stanford-parser stand-in: slightly more accurate on hard attachments,
@@ -19,7 +21,8 @@ finished tree.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.nlp.lexicon import AUXILIARIES
 from repro.nlp.tokens import Sentence, Token
@@ -87,151 +90,199 @@ def arc_score(tokens: Sequence[Token], head: int, dep: int) -> float:
     The score combines the POS-pair base score, a hyperbolic distance
     decay, and construction-specific adjustments. Returns a small
     non-negative epsilon for implausible arcs so every token stays
-    attachable and the parsers always produce a full tree.
+    attachable and the parsers always produce a full tree. One-off
+    form of :meth:`ArcScorer.compute`; the parsers keep one
+    :class:`ArcScorer` per sentence instead.
     """
-    dep_token = tokens[dep]
-    dep_class = coarse(dep_token.pos)
+    return ArcScorer(tokens).compute(head, dep)
 
-    if head == ROOT:
-        if dep_class == "V":
-            score = 20.0
-            if _preceded_by_relativizer(tokens, dep):
-                score = 4.0
-            if dep_token.lower() in AUXILIARIES and _has_later_content_verb(tokens, dep):
-                score = 8.0
-            return score
-        if dep_class == "N":
-            return 5.0
-        return 0.5
 
-    head_token = tokens[head]
-    head_class = coarse(head_token.pos)
-    side = "L" if dep < head else "R"
-    base = _BASE_SCORES.get((head_class, dep_class, side), 0.2)
-    distance = abs(head - dep)
+def _prefix_counts(flags) -> List[int]:
+    """``counts[k]``: how many of ``flags[:k]`` are true."""
+    return list(accumulate(flags, initial=0))
 
-    # ---- construction-specific adjustments ------------------------------
-    # Auxiliary verbs attach tightly to the following content verb.
-    if head_class == "V" and dep_class == "V" and side == "L":
-        if dep_token.lower() in AUXILIARIES and distance <= 2:
-            base = 16.0
-    # A content verb should not govern its own auxiliary from the left in
-    # reverse ("was born": born governs was, not vice versa).
-    if head_class == "V" and head_token.lower() in AUXILIARIES and dep_class == "V" and side == "R":
-        if distance <= 2:
-            base = 1.0
-    # Noun compounds require adjacency.
-    if head_class == "N" and dep_class == "N" and side == "L":
-        if distance > 1 or tokens[dep].pos == "PRP":
-            base = 0.3
-        # A possessive clitic between the nouns means the left noun is a
-        # possessor (nmod:poss), which is a valid non-adjacent arc.
-        if distance == 2 and tokens[dep + 1].pos == "POS":
-            base = 14.0
-    # Determiners, adjectives and the possessive clitic are near-adjacent.
-    if dep_class in {"D", "J", "P"} and distance > 3:
-        base *= 0.2
-    # Relative clause: a verb right of a noun with a relativizer between.
-    if head_class == "N" and dep_class == "V" and side == "R":
-        if _relativizer_between(tokens, head, dep):
-            base = 11.0
-    # Apposition: comma-separated adjacent NPs ("his father, William Pitt").
-    if head_class == "N" and dep_class == "N" and side == "R":
-        if _comma_between(tokens, head, dep) and not _verb_between(tokens, head, dep):
-            base = 6.0
-    # A year following a month forms one temporal unit ("August 2014").
-    if (
-        head_class == "N"
-        and dep_class == "N"
-        and side == "R"
-        and distance == 1
-        and head_token.ner == "TIME"
-        and dep_token.ner == "TIME"
-    ):
-        base = 18.0
-    # PP attachment: a preposition whose object is a time expression or
-    # bare number prefers the verb; entity objects may stay nominal.
-    if dep_class == "I":
-        pobj_ner = _prep_object_ner(tokens, dep)
-        if head_class == "V" and pobj_ner == "TIME":
-            base *= 2.0
-        if head_class == "N" and pobj_ner == "TIME":
-            base *= 0.4
-    # Coordination: same-class conjuncts across a coordinating conjunction.
-    if head_class == dep_class and head_class in {"V", "N"} and side == "R":
-        if _cc_between(tokens, head, dep):
-            base = 9.0
-    # Nothing crosses a verb to attach a left noun (keeps clause-local
-    # subjects): a noun dependent left of a verb head must not have
-    # another verb in between — unless a relativizer opens a relative
-    # clause in the span ("Pitt, who starred in Troy, lives in ..."),
-    # where the matrix subject legitimately crosses the embedded verb.
-    if head_class == "V" and dep_class in {"N", "W"} and side == "L":
-        if _verb_between(tokens, dep, head) and not _relativizer_between(
-            tokens, dep, head
+
+class ArcScorer:
+    """The arc scores of one sentence.
+
+    Every per-token fact the score reads — coarse class, POS tag,
+    auxiliary flag, a content verb in the next two tokens, the
+    NER label of a preposition's object, a relativizer opening the
+    clause — is computed once, and prefix counts answer each
+    "is there a content verb / comma / conjunction / relativizer
+    strictly between" test in O(1). :meth:`score` memoises in an
+    n x n table, so each arc is computed at most once per sentence.
+    """
+
+    __slots__ = (
+        "_n", "_classes", "_pos", "_ner", "_aux", "_later_verb",
+        "_pobj_ner", "_after_relativizer", "_verbs", "_commas", "_ccs",
+        "_relativizers", "_memo", "_root_memo",
+    )
+
+    def __init__(self, tokens: Sequence[Token]) -> None:
+        n = len(tokens)
+        classes = [coarse(t.pos) for t in tokens]
+        aux = [t.lower() in AUXILIARIES for t in tokens]
+        content_verb = [c == "V" and not a for c, a in zip(classes, aux)]
+        self._n = n
+        self._classes = classes
+        self._pos = [t.pos for t in tokens]
+        self._ner = [t.ner for t in tokens]
+        self._aux = aux
+        self._later_verb = [
+            any(content_verb[i + 1:min(i + 3, n)]) for i in range(n)
+        ]
+        pobj_ner = []
+        for i in range(n):
+            label = ""
+            for j in range(i + 1, min(i + 4, n)):
+                if classes[j] == "N":
+                    label = tokens[j].ner
+                    break
+            pobj_ner.append(label)
+        self._pobj_ner = pobj_ner
+        # Does a relativizer come before i with no verb in between?
+        after_relativizer = []
+        opened = False
+        for cls in classes:
+            after_relativizer.append(opened)
+            if cls == "W":
+                opened = True
+            elif cls == "V":
+                opened = False
+        self._after_relativizer = after_relativizer
+        self._verbs = _prefix_counts(content_verb)
+        self._commas = _prefix_counts(t.text == "," for t in tokens)
+        self._ccs = _prefix_counts(c == "C" for c in classes)
+        self._relativizers = _prefix_counts(c == "W" for c in classes)
+        self._memo: List[Optional[float]] = [None] * (n * n)
+        self._root_memo: List[Optional[float]] = [None] * n
+
+    def score(self, head: int, dep: int) -> float:
+        """The memoised score of ``head -> dep``."""
+        if head == ROOT:
+            value = self._root_memo[dep]
+            if value is None:
+                value = self._root_memo[dep] = self.compute(ROOT, dep)
+            return value
+        key = head * self._n + dep
+        value = self._memo[key]
+        if value is None:
+            value = self._memo[key] = self.compute(head, dep)
+        return value
+
+    def compute(self, head: int, dep: int) -> float:
+        """Score ``head -> dep`` from the per-token facts (no memo)."""
+        classes = self._classes
+        dep_class = classes[dep]
+
+        if head == ROOT:
+            if dep_class == "V":
+                score = 20.0
+                if self._after_relativizer[dep]:
+                    score = 4.0
+                if self._aux[dep] and self._later_verb[dep]:
+                    score = 8.0
+                return score
+            if dep_class == "N":
+                return 5.0
+            return 0.5
+
+        head_class = classes[head]
+        left = dep < head
+        base = _BASE_SCORES.get((head_class, dep_class, "L" if left else "R"), 0.2)
+        distance = head - dep if left else dep - head
+        lo, hi = (dep, head) if left else (head, dep)
+
+        # ---- construction-specific adjustments ------------------------------
+        # Auxiliary verbs attach tightly to the following content verb.
+        if head_class == "V" and dep_class == "V" and left:
+            if self._aux[dep] and distance <= 2:
+                base = 16.0
+        # A content verb should not govern its own auxiliary from the left in
+        # reverse ("was born": born governs was, not vice versa).
+        if head_class == "V" and self._aux[head] and dep_class == "V" and not left:
+            if distance <= 2:
+                base = 1.0
+        # Noun compounds require adjacency.
+        if head_class == "N" and dep_class == "N" and left:
+            if distance > 1 or self._pos[dep] == "PRP":
+                base = 0.3
+            # A possessive clitic between the nouns means the left noun is a
+            # possessor (nmod:poss), which is a valid non-adjacent arc.
+            if distance == 2 and self._pos[dep + 1] == "POS":
+                base = 14.0
+        # Determiners, adjectives and the possessive clitic are near-adjacent.
+        if dep_class in {"D", "J", "P"} and distance > 3:
+            base *= 0.2
+        # Relative clause: a verb right of a noun with a relativizer between.
+        if head_class == "N" and dep_class == "V" and not left:
+            if self._between(self._relativizers, lo, hi):
+                base = 11.0
+        # Apposition: comma-separated adjacent NPs ("his father, William Pitt").
+        if head_class == "N" and dep_class == "N" and not left:
+            if self._between(self._commas, lo, hi) and not self._between(
+                self._verbs, lo, hi
+            ):
+                base = 6.0
+        # A year following a month forms one temporal unit ("August 2014").
+        if (
+            head_class == "N"
+            and dep_class == "N"
+            and not left
+            and distance == 1
+            and self._ner[head] == "TIME"
+            and self._ner[dep] == "TIME"
         ):
-            base *= 0.1
-    # Arguments belong to the content verb, not its auxiliary: penalize
-    # nominal dependents of an auxiliary that is directly followed by a
-    # content verb ("She was born ...": "She" must attach to "born").
-    if (
-        head_class == "V"
-        and head_token.lower() in AUXILIARIES
-        and dep_class in {"N", "W"}
-        and _has_later_content_verb(tokens, head)
-    ):
-        base *= 0.15
+            base = 18.0
+        # PP attachment: a preposition whose object is a time expression or
+        # bare number prefers the verb; entity objects may stay nominal.
+        if dep_class == "I":
+            pobj_ner = self._pobj_ner[dep]
+            if head_class == "V" and pobj_ner == "TIME":
+                base *= 2.0
+            if head_class == "N" and pobj_ner == "TIME":
+                base *= 0.4
+        # Coordination: same-class conjuncts across a coordinating conjunction.
+        if head_class == dep_class and head_class in {"V", "N"} and not left:
+            if self._between(self._ccs, lo, hi):
+                base = 9.0
+        # Nothing crosses a verb to attach a left noun (keeps clause-local
+        # subjects): a noun dependent left of a verb head must not have
+        # another verb in between — unless a relativizer opens a relative
+        # clause in the span ("Pitt, who starred in Troy, lives in ..."),
+        # where the matrix subject legitimately crosses the embedded verb.
+        if head_class == "V" and dep_class in {"N", "W"} and left:
+            if self._between(self._verbs, lo, hi) and not self._between(
+                self._relativizers, lo, hi
+            ):
+                base *= 0.1
+        # Arguments belong to the content verb, not its auxiliary: penalize
+        # nominal dependents of an auxiliary that is directly followed by a
+        # content verb ("She was born ...": "She" must attach to "born").
+        if (
+            head_class == "V"
+            and self._aux[head]
+            and dep_class in {"N", "W"}
+            and self._later_verb[head]
+        ):
+            base *= 0.15
 
-    return base / (1.0 + _DISTANCE_DECAY * (distance - 1))
+        return base / (1.0 + _DISTANCE_DECAY * (distance - 1))
 
-
-def _preceded_by_relativizer(tokens: Sequence[Token], index: int) -> bool:
-    for j in range(index - 1, -1, -1):
-        cls = coarse(tokens[j].pos)
-        if cls == "W":
-            return True
-        if cls == "V":
-            return False
-    return False
-
-
-def _has_later_content_verb(tokens: Sequence[Token], index: int) -> bool:
-    for j in range(index + 1, min(index + 3, len(tokens))):
-        if coarse(tokens[j].pos) == "V" and tokens[j].lower() not in AUXILIARIES:
-            return True
-    return False
-
-
-def _relativizer_between(tokens: Sequence[Token], left: int, right: int) -> bool:
-    return any(coarse(tokens[j].pos) == "W" for j in range(left + 1, right))
+    @staticmethod
+    def _between(counts: List[int], left: int, right: int) -> bool:
+        """A counted token strictly between ``left`` and ``right``."""
+        return counts[right] > counts[left + 1]
 
 
 def _comma_between(tokens: Sequence[Token], left: int, right: int) -> bool:
     return any(tokens[j].text == "," for j in range(left + 1, right))
 
 
-def _verb_between(tokens: Sequence[Token], left: int, right: int) -> bool:
-    """A *content* verb strictly between the positions.
-
-    Auxiliaries do not count: in "She was born", "was" must not block
-    the subject arc She -> born.
-    """
-    return any(
-        coarse(tokens[j].pos) == "V" and tokens[j].lower() not in AUXILIARIES
-        for j in range(left + 1, right)
-    )
-
-
 def _cc_between(tokens: Sequence[Token], left: int, right: int) -> bool:
     return any(coarse(tokens[j].pos) == "C" for j in range(left + 1, right))
-
-
-def _prep_object_ner(tokens: Sequence[Token], prep: int) -> str:
-    """NER label of the first plausible object right of a preposition."""
-    for j in range(prep + 1, min(prep + 4, len(tokens))):
-        if coarse(tokens[j].pos) == "N":
-            return tokens[j].ner
-    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +314,16 @@ def _attach_punctuation(tokens: Sequence[Token], content: List[int]) -> None:
         token.head = head
 
 
-def _finalize_roots(tokens: Sequence[Token], content: List[int]) -> None:
+def _finalize_roots(
+    tokens: Sequence[Token], content: List[int], scorer: ArcScorer
+) -> None:
     """Keep exactly one root among content tokens; reattach the rest."""
     roots = [i for i in content if tokens[i].head == ROOT]
     if not roots:
         if content:
             tokens[content[0]].head = ROOT
         return
-    best = max(roots, key=lambda i: arc_score(tokens, ROOT, i))
+    best = max(roots, key=lambda i: scorer.score(ROOT, i))
     for i in roots:
         if i != best:
             tokens[i].head = best
@@ -283,11 +336,16 @@ class GreedyTransitionParser:
     tokens). At each step it scores, for every adjacent pending pair, the
     two possible arcs, discounted by how much the would-be dependent
     still "wants" children of its own among nearby pending tokens. The
-    best arc is taken greedily and the dependent removed from the pending
-    list. The last survivor becomes the root.
+    best arc is taken greedily (the leftmost pair on a tie, the
+    left-headed arc within a pair) and the dependent removed from the
+    pending list. The last survivor becomes the root.
 
-    Near-linear in practice; this is the fast MaltParser stand-in the
-    paper swaps in for speed.
+    Each pending token's "wants children" score — its best arc to a
+    pending token at most ``window`` places away — is kept per position
+    and recomputed only when a removal changed that window, so a step
+    costs O(window) arc lookups plus one O(n) pass to pick the best
+    pair: O(n * window) arc scores and O(n^2) comparisons per sentence.
+    This is the MaltParser stand-in the paper swaps in for speed.
     """
 
     def __init__(self, child_penalty: float = 0.8, window: int = 4) -> None:
@@ -306,63 +364,70 @@ class GreedyTransitionParser:
             label_arcs(sentence)
             return
 
-        cache: Dict[Tuple[int, int], float] = {}
-
-        def score(head: int, dep: int) -> float:
-            key = (head, dep)
-            value = cache.get(key)
-            if value is None:
-                value = arc_score(tokens, head, dep)
-                cache[key] = value
-            return value
-
+        scorer = ArcScorer(tokens)
+        score = scorer.score
+        penalty = self._child_penalty
+        window = self._window
         pending: List[int] = list(content)
 
-        def pair_priority(k: int):
+        best_child = self._best_child
+        children = [best_child(score, pending, k) for k in range(len(pending))]
+
+        def pair_priority(k: int) -> Tuple[float, int, int]:
             """Best arc between pending[k] and pending[k+1]."""
             a, b = pending[k], pending[k + 1]
-            best = None
-            for head, dep, dep_pos in ((a, b, k + 1), (b, a, k)):
-                penalty = self._future_child_score(score, pending, dep_pos)
-                priority = score(head, dep) - self._child_penalty * penalty
-                if best is None or priority > best[0]:
-                    best = (priority, head, dep)
-            return best
+            right = score(a, b) - penalty * children[k + 1]
+            left = score(b, a) - penalty * children[k]
+            return (left, b, a) if left > right else (right, a, b)
 
         priorities = [pair_priority(k) for k in range(len(pending) - 1)]
+        values = [priority[0] for priority in priorities]
         while len(pending) > 1:
-            best_k = 0
-            for k in range(1, len(priorities)):
-                if priorities[k][0] > priorities[best_k][0]:
-                    best_k = k
-            _, head, dep = priorities[best_k]
+            # The leftmost best pair wins a tie.
+            _, head, dep = priorities[values.index(max(values))]
             tokens[dep].head = head
             j = pending.index(dep)
             pending.pop(j)
-            if not priorities:
-                break
-            priorities.pop(j if j < len(priorities) else j - 1)
-            # Only pairs whose penalty window touched position j change.
-            lo = max(0, j - self._window - 1)
-            hi = min(len(priorities), j + self._window + 1)
-            for m in range(lo, hi):
-                priorities[m] = pair_priority(m)
+            children.pop(j)
+            drop = j if j < len(priorities) else j - 1
+            priorities.pop(drop)
+            values.pop(drop)
+            # Only the windows that held position j changed: each lost
+            # ``dep`` and gained at most the token that slid in at its
+            # far end. Unless ``dep`` was the window's best, the best
+            # moves only if the newcomer beats it.
+            for m in range(max(0, j - window), min(len(pending), j + window)):
+                owner = pending[m]
+                if score(owner, dep) < children[m]:
+                    k = m + window if m < j else m - window
+                    if 0 <= k < len(pending):
+                        value = score(owner, pending[k])
+                        if value > children[m]:
+                            children[m] = value
+                else:
+                    children[m] = best_child(score, pending, m)
+            # A pair changes when either end's window did, or (pair
+            # j - 1) when its two ends became neighbours.
+            for m in range(max(0, j - window - 1), min(len(priorities), j + window)):
+                priority = priorities[m] = pair_priority(m)
+                values[m] = priority[0]
 
         tokens[pending[0]].head = ROOT
-        _finalize_roots(tokens, content)
+        _finalize_roots(tokens, content, scorer)
         _attach_punctuation(tokens, content)
         label_arcs(sentence)
 
-    def _future_child_score(self, score, pending: List[int], dep_pos: int) -> float:
-        """How strongly pending[dep_pos] still attracts its own children."""
-        dep = pending[dep_pos]
-        lo = max(0, dep_pos - self._window)
-        hi = min(len(pending), dep_pos + self._window + 1)
+    def _best_child(self, score, pending: List[int], k: int) -> float:
+        """How strongly pending[k] still attracts its own children."""
+        window = self._window
+        dep = pending[k]
         best = 0.0
-        for k in range(lo, hi):
-            if k == dep_pos:
-                continue
-            value = score(dep, pending[k])
+        for other in pending[max(0, k - window):k]:
+            value = score(dep, other)
+            if value > best:
+                best = value
+        for other in pending[k + 1:k + window + 1]:
+            value = score(dep, other)
             if value > best:
                 best = value
         return best
@@ -399,14 +464,13 @@ class EisnerChartParser:
         # selected explicitly at the end, which keeps the tree
         # single-rooted without a multi-child virtual root.
         size = m
+        compute = ArcScorer(tokens).compute
         scores = [[0.0] * size for _ in range(size)]
         for head in range(size):
             for dep in range(size):
                 if head == dep:
                     continue
-                scores[head][dep] = arc_score(
-                    tokens, content[head], content[dep]
-                )
+                scores[head][dep] = compute(content[head], content[dep])
 
         NEG = float("-inf")
         # complete[s][t][d] / incomplete[s][t][d]; d=0 head on right (t),
@@ -462,7 +526,7 @@ class EisnerChartParser:
             total = (
                 complete[0][r][0]
                 + complete[r][size - 1][1]
-                + arc_score(tokens, ROOT, content[r])
+                + compute(ROOT, content[r])
             )
             if total > best_total:
                 best_total = total
@@ -664,6 +728,7 @@ def tree_is_valid(sentence: Sentence) -> bool:
 
 __all__ = [
     "ROOT",
+    "ArcScorer",
     "EisnerChartParser",
     "GreedyTransitionParser",
     "arc_score",

@@ -10,7 +10,7 @@ cues (titles, corporate suffixes, locative prepositions).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.nlp.lexicon import TITLES
 from repro.nlp.tokens import Sentence, Span
@@ -39,13 +39,19 @@ class NerTagger:
 
     def __init__(self, gazetteer: Optional[Dict[str, str]] = None) -> None:
         self._gazetteer: Dict[Tuple[str, ...], str] = {}
-        self._max_len = 1
+        # First token -> the alias lengths it starts, longest first.
+        self._lengths: Dict[str, List[int]] = {}
         if gazetteer:
+            lengths: Dict[str, Set[int]] = {}
             for alias, label in gazetteer.items():
                 key = tuple(alias.lower().split())
                 if key:
                     self._gazetteer[key] = label
-                    self._max_len = max(self._max_len, len(key))
+                    lengths.setdefault(key[0], set()).add(len(key))
+            self._lengths = {
+                first: sorted(sizes, reverse=True)
+                for first, sizes in lengths.items()
+            }
 
     def tag(self, sentence: Sentence) -> None:
         """Fill ``token.ner`` and ``sentence.entity_mentions`` in place.
@@ -122,9 +128,11 @@ class NerTagger:
     def _longest_gazetteer_match(
         self, tokens, i: int, claimed: List[bool]
     ) -> Optional[Tuple[int, str]]:
-        max_end = min(len(tokens), i + self._max_len)
-        for end in range(max_end, i, -1):
-            if any(claimed[j] for j in range(i, end)):
+        """Longest alias starting at ``i``; only the lengths an alias
+        starting with this token has are tried."""
+        for length in self._lengths.get(tokens[i].text.lower(), ()):
+            end = i + length
+            if end > len(tokens) or any(claimed[j] for j in range(i, end)):
                 continue
             key = tuple(t.text.lower() for t in tokens[i:end])
             label = self._gazetteer.get(key)

@@ -26,8 +26,8 @@ class PipelineConfig:
     """Configuration of the linguistic pipeline.
 
     Attributes:
-        parser: ``"greedy"`` (O(n), MaltParser stand-in) or ``"chart"``
-            (O(n^3) Eisner, Stanford-parser stand-in).
+        parser: ``"greedy"`` (easy-first, MaltParser stand-in) or
+            ``"chart"`` (O(n^3) Eisner, Stanford-parser stand-in).
         gazetteer: alias -> coarse NER type for the gazetteer pass.
     """
 

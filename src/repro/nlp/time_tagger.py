@@ -37,10 +37,12 @@ def tag_times(sentence: Sentence) -> None:
     stages treat them as time arguments rather than entity mentions.
     """
     tokens = sentence.tokens
+    words = [t.text for t in tokens]
+    lower = [w.lower() for w in words]
     found: List[Tuple[Span, str]] = []
     i = 0
     while i < len(tokens):
-        match = _match_at(sentence, i)
+        match = _match_at(words, lower, i)
         if match is not None:
             span, value = match
             found.append((span, value))
@@ -54,12 +56,15 @@ def tag_times(sentence: Sentence) -> None:
             tokens[index].ner = "TIME"
 
 
-def _match_at(sentence: Sentence, i: int) -> Optional[Tuple[Span, str]]:
-    """Try every date pattern anchored at token ``i``; longest first."""
-    tokens = sentence.tokens
-    words = [t.text for t in tokens]
-    lower = [w.lower() for w in words]
-    n = len(tokens)
+def _match_at(
+    words: List[str], lower: List[str], i: int
+) -> Optional[Tuple[Span, str]]:
+    """Try every date pattern anchored at token ``i``; longest first.
+
+    ``words`` / ``lower`` are the sentence's token texts, built once
+    per sentence by :func:`tag_times`.
+    """
+    n = len(words)
 
     def year_at(j: int) -> Optional[int]:
         if j < n and _YEAR_RE.match(words[j]):

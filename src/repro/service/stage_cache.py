@@ -37,9 +37,10 @@ downstream key — stale intermediates are unreachable by construction,
 and invalidation is garbage collection (LRU/TTL/byte pressure), not
 correctness.
 
-With annotation and extraction cached, the graph stages are 58 % of a
-cold build and NLP 28 % (``benchmarks/e2e``, traced), which is why the
-fragment — not just the annotation — is cached.
+On a cold build the graph stages cost about as much as annotation
+(44 % and 43 % of ``build_kb`` in a traced ``cold_distinct`` run of
+``benchmarks/e2e``; ``docs/PIPELINE.md``, "What a cold build costs"),
+which is why the fragment — not just the annotation — is cached.
 
 Cached values are shared across queries and across the worker threads
 of one deployment, so consumers must treat them as **read-only** —
@@ -107,10 +108,10 @@ class StagePolicy:
         max_entries: Entry-count ceiling; LRU eviction past it.
         ttl_seconds: Optional wall-clock time-to-live; expired entries
             are dropped lazily on lookup (None: no expiry).
-        max_bytes: Optional byte budget for the stage (estimated via
-            pickle size); LRU eviction past it, and a single value
-            larger than the whole budget is never stored (None: no
-            byte bound).
+        max_bytes: Optional byte budget for the stage, over each
+            entry's weight (see :meth:`StageCache.put`); LRU eviction
+            past it, and a single value larger than the whole budget is
+            never stored (None: no byte bound).
     """
 
     max_entries: int = DEFAULT_STAGE_ENTRIES
@@ -237,10 +238,12 @@ class StageCache:
     ) -> None:
         """Insert (or refresh) one stage product.
 
-        ``size_bytes`` overrides the pickle-based size estimate (used
-        by tests and by callers that already know the payload size). A
-        value larger than the stage's whole byte budget is rejected
-        rather than flushing everything else.
+        ``size_bytes`` is the entry's weight. The pipeline passes one
+        for every stage, computed from the product's counts; a caller
+        that passes none has the value pickled to weigh it, which costs
+        more than most of the work a stage caches. A value larger than
+        the stage's whole byte budget is rejected rather than flushing
+        everything else.
 
         ``tag`` attaches an opaque selector (the retrieval stage tags
         entries with their normalized query text) that
@@ -412,11 +415,10 @@ class StageCache:
 
 
 def _estimate_size(value: Any) -> Optional[int]:
-    """Approximate in-memory weight of a cached value, in bytes.
+    """Weight of a value stored without a size, in bytes.
 
-    Pickle length is a cheap, deterministic proxy that scales with the
-    actual token/clause payload. A value that cannot be pickled (never
-    the case for the pipeline's dataclasses, but possible for foreign
+    Pickle length is a deterministic proxy that scales with the actual
+    payload. A value that cannot be pickled (possible for foreign
     annotator products) returns None — ``put`` rejects it, because the
     previous ``sys.getsizeof`` fallback ignores container contents and
     let such values blow the byte budget unaccounted.

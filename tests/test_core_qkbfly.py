@@ -1,5 +1,6 @@
 """End-to-end tests for QKBfly and canonicalization."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +29,54 @@ for entity in entities[:60]:
     sha.update(json.dumps(kb.to_dict(), sort_keys=True).encode("utf-8"))
 print(sha.hexdigest())
 """
+
+# The same 60 builds under cProfile; prints the call count of every
+# ``repro`` function as JSON.
+_CALL_COUNT_SCRIPT = """
+import cProfile, json, pstats
+from repro.core.qkbfly import QKBfly, SessionState
+from repro.corpus.world import World, WorldConfig
+
+session = SessionState.from_world(World(WorldConfig(), seed=7))
+pipeline = QKBfly.from_session(session)
+entities = sorted(
+    session.entity_repository.entities(),
+    key=lambda e: (-e.prominence, e.entity_id),
+)
+profile = cProfile.Profile()
+profile.enable()
+for entity in entities[:60]:
+    pipeline.build_kb(entity.canonical_name, source="wikipedia")
+profile.disable()
+counts = {
+    f"{path.rsplit('/repro/', 1)[1]}:{line}:{name}": row[1]
+    for (path, line, name), row in pstats.Stats(profile).stats.items()
+    if "/repro/" in path
+}
+print(json.dumps(counts, sort_keys=True))
+"""
+
+
+def _outputs_under_hash_seeds(script: str):
+    """``script``'s stdout under ``PYTHONHASHSEED`` 0, 1 and 2."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    children = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        children.append(
+            subprocess.Popen(
+                [sys.executable, "-c", script],
+                stdout=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        )
+    outputs = [child.communicate(timeout=120)[0] for child in children]
+    assert all(child.returncode == 0 for child in children)
+    return outputs
 
 
 @pytest.fixture(scope="module")
@@ -76,24 +125,23 @@ class TestEndToEnd:
         shard runs under its own ``PYTHONHASHSEED``, so the same builds
         must produce the same bytes — confidences to the last ulp —
         whatever the seed."""
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        children = []
-        for seed in ("0", "1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                part for part in (src, env.get("PYTHONPATH")) if part
-            )
-            children.append(
-                subprocess.Popen(
-                    [sys.executable, "-c", _DIGEST_SCRIPT],
-                    stdout=subprocess.PIPE,
-                    text=True,
-                    env=env,
-                )
-            )
-        digests = [child.communicate(timeout=120)[0] for child in children]
-        assert all(child.returncode == 0 for child in children)
+        digests = _outputs_under_hash_seeds(_DIGEST_SCRIPT)
         assert len(set(digests)) == 1, digests
+
+    def test_build_work_is_independent_of_the_hash_seed(self):
+        """Exact work counts need a fixed iteration order: every
+        ``repro`` function is called equally often under every seed
+        (densify's gender pruning once stopped an ``all()`` over a set
+        at a seed-dependent member)."""
+        runs = [json.loads(out) for out in _outputs_under_hash_seeds(_CALL_COUNT_SCRIPT)]
+        assert runs[0], "the profile saw no repro function"
+        for run in runs[1:]:
+            differing = {
+                name: (runs[0].get(name), run.get(name))
+                for name in set(runs[0]) | set(run)
+                if runs[0].get(name) != run.get(name)
+            }
+            assert not differing, differing
 
     def test_emerging_entity_for_unknown_person(self, tiny_world, qkbfly_system, realizer):
         emerging_person = next(

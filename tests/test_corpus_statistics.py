@@ -124,18 +124,6 @@ class TestDocumentTokens:
         assert "zanzibar" in document_tokens(doc)
         assert document_tokens(doc) == content_tokens(doc.text)
 
-    def test_memo_stays_out_of_the_pickle(self, realizer, tiny_world):
-        import pickle
-
-        doc = realizer.wikipedia_article(
-            tiny_world.person_ids_by_profession["ACTOR"][1]
-        )
-        bare = len(pickle.dumps(doc))
-        document_tokens(doc)
-        document_tokens(doc, "title")
-        assert len(pickle.dumps(doc)) == bare
-        assert pickle.loads(pickle.dumps(doc)) == doc
-
     def test_from_world_tokenises_each_document_text_once(self, tokenized):
         from repro.core.qkbfly import SessionState
         from repro.corpus.world import World, WorldConfig
